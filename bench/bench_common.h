@@ -21,6 +21,7 @@
 
 #include "rst/data/dataset.h"
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/iurtree/iurtree.h"
 #include "rst/maxbrst/joint_topk.h"
@@ -144,7 +145,9 @@ struct CorePoint {
 };
 
 /// The prebuilt environment for one core configuration (shared across
-/// sweeps over k / α which do not change the indexes).
+/// sweeps over k / α which do not change the indexes). Each tree is frozen
+/// once; RSTkNN searches the frozen_* snapshots, while the IurTrees serve
+/// the precompute baseline and the index-size columns.
 struct CoreEnv {
   Dataset dataset;
   std::vector<uint32_t> clusters;
@@ -152,6 +155,9 @@ struct CoreEnv {
   IurTree iur;
   IurTree ciur;
   IurTree ciur_oe;
+  frozen::FrozenTree frozen_iur;
+  frozen::FrozenTree frozen_ciur;
+  frozen::FrozenTree frozen_ciur_oe;
   std::vector<ObjectId> queries;
 };
 

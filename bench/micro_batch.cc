@@ -55,7 +55,8 @@ int main() {
   {
     Measurement m;
     m.mode = "serial";
-    const rst::RstknnSearcher searcher(&env.ciur, &env.dataset, &scorer);
+    const rst::RstknnSearcher searcher(&env.frozen_ciur, &env.dataset,
+                                       &scorer);
     rst::Stopwatch timer;
     for (size_t rep = 0; rep < reps; ++rep) {
       m.answers = 0;
@@ -73,7 +74,8 @@ int main() {
     m.mode = "batch";
     m.threads = threads;
     ThreadPool pool(threads);
-    const BatchRunner runner(&env.ciur, &env.dataset, &scorer, &pool);
+    const BatchRunner runner(&env.frozen_ciur, &env.dataset, &scorer,
+                             &pool);
     rst::Stopwatch timer;
     for (size_t rep = 0; rep < reps; ++rep) {
       m.answers = 0;

@@ -1,15 +1,12 @@
-// Frozen flat-layout index: pointer-tree vs frozen-view RSTkNN traversal,
-// plus the index life-cycle costs (STR build at 1..N threads, freeze,
-// serialize, load). Answers are byte-identical across every row by the
-// tree-view determinism contract, so the traversal delta is pure memory
-// layout: SoA arrays + one contiguous term-weight pool vs unique_ptr nodes
-// with scattered per-entry vectors.
+// Frozen flat-layout index: the index life-cycle costs (STR build at 1..N
+// threads, freeze, serialize, load) plus RSTkNN traversal over a freshly
+// frozen snapshot and over one reloaded from its serialized bytes. The two
+// snapshots are the same arrays, so answers must agree row for row.
 //
 // Besides the console table this writes BENCH_frozen.json into the working
 // directory, including the host core count — the parallel-build speedup is
 // meaningless without it, and on a 1-core CI runner both it and the
-// traversal delta can disappear into noise (recorded caveat, PR-2
-// precedent).
+// traversal rows can disappear into noise.
 
 #include "bench_common.h"
 
@@ -23,9 +20,8 @@
 namespace {
 
 struct Measurement {
-  std::string view;
+  std::string snapshot;
   double wall_ms = 0;
-  double speedup = 1.0;
   size_t answers = 0;
 };
 
@@ -88,12 +84,12 @@ int main() {
     return 1;
   }
 
-  // --- Query traversal: pointer vs frozen vs loaded-frozen ------------------
+  // --- Query traversal: frozen vs loaded-frozen ----------------------------
   std::vector<Measurement> series;
-  auto measure = [&](const std::string& view,
+  auto measure = [&](const std::string& snapshot,
                      const rst::RstknnSearcher& searcher) {
     Measurement m;
-    m.view = view;
+    m.snapshot = snapshot;
     rst::Stopwatch timer;
     for (size_t rep = 0; rep < reps; ++rep) {
       m.answers = 0;
@@ -106,15 +102,13 @@ int main() {
     m.wall_ms = timer.ElapsedMillis() / static_cast<double>(reps);
     series.push_back(m);
   };
-  measure("pointer", rst::RstknnSearcher(&env.ciur, &env.dataset, &scorer));
   measure("frozen", rst::RstknnSearcher(&frozen, &env.dataset, &scorer));
   measure("frozen_loaded",
           rst::RstknnSearcher(&loaded.value(), &env.dataset, &scorer));
-  const double pointer_ms = series[0].wall_ms;
-  for (Measurement& m : series) {
-    m.speedup = m.wall_ms > 0 ? pointer_ms / m.wall_ms : 0.0;
+  for (const Measurement& m : series) {
     if (m.answers != series[0].answers) {
-      std::fprintf(stderr, "answer mismatch in view %s\n", m.view.c_str());
+      std::fprintf(stderr, "answer mismatch in snapshot %s\n",
+                   m.snapshot.c_str());
       return 1;
     }
   }
@@ -124,9 +118,9 @@ int main() {
              std::to_string(queries.size()) + " queries, k=" +
              std::to_string(params.k) + ", " + std::to_string(cores) +
              " core(s))");
-  PrintHeader({"view", "wall_ms", "speedup", "|ans|"});
+  PrintHeader({"snapshot", "wall_ms", "|ans|"});
   for (const Measurement& m : series) {
-    PrintRow({m.view, Fmt(m.wall_ms), Fmt(m.speedup), FmtInt(m.answers)});
+    PrintRow({m.snapshot, Fmt(m.wall_ms), FmtInt(m.answers)});
   }
   std::printf("\nbuild: %.2f ms serial, %.2f ms at %zu threads (%.2fx)\n",
               build1_ms, buildn_ms, build_threads,
@@ -134,11 +128,10 @@ int main() {
   std::printf("freeze: %.2f ms, serialize: %.2f ms (%zu bytes), load: %.2f ms\n",
               freeze_ms, serialize_ms, bytes.size(), load_ms);
   std::printf(
-      "\nNote: answers are byte-identical across all rows (tree-view\n"
-      "determinism contract). On a 1-core runner the parallel-build speedup\n"
-      "degenerates to ~1x and the traversal delta can sit inside timer noise\n"
-      "at bench-sized datasets; judge the layout win on multi-core hardware\n"
-      "or larger RST_BENCH_OBJECTS.\n");
+      "\nNote: answers are identical across both rows (a reloaded snapshot\n"
+      "is the same arrays). On a 1-core runner the parallel-build speedup\n"
+      "degenerates to ~1x; judge it on multi-core hardware or larger\n"
+      "RST_BENCH_OBJECTS.\n");
 
   rst::obs::JsonWriter writer;
   writer.BeginObject();
@@ -170,12 +163,10 @@ int main() {
   writer.BeginArray();
   for (const Measurement& m : series) {
     writer.BeginObject();
-    writer.Key("view");
-    writer.String(m.view);
+    writer.Key("snapshot");
+    writer.String(m.snapshot);
     writer.Key("wall_ms");
     writer.Double(m.wall_ms);
-    writer.Key("speedup_vs_pointer");
-    writer.Double(m.speedup);
     writer.Key("answers");
     writer.Uint(m.answers);
     writer.EndObject();

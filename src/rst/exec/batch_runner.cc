@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "rst/common/check.h"
 #include "rst/common/stopwatch.h"
 #include "rst/frozen/frozen.h"
 #include "rst/obs/explain.h"
@@ -123,16 +122,6 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     scratches.push_back(std::make_unique<ProbeScratch>());
   }
 
-  // Slow-query capture: one shared (read-only) explain index for the whole
-  // batch; each query owns a PRIVATE trace + recorder, so the single-threaded
-  // trace contract holds even though the batch is parallel. A frozen-backed
-  // runner needs no index — the frozen layout's entry indices ARE the
-  // explain numbering.
-  std::unique_ptr<ExplainIndex> explain_index;
-  if ((slow_log_ != nullptr || heatmap_ != nullptr) && tree_ != nullptr) {
-    explain_index = std::make_unique<ExplainIndex>(*tree_);
-  }
-
   // Index heatmap: one PRIVATE recorder per worker (the searcher hot path
   // stays lock-free), merged into the caller's recorder after the join —
   // counters are commutative sums keyed by stable node ids, so the merged
@@ -163,9 +152,7 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     trace_events_->AddThreadName(static_cast<uint32_t>(workers + 1), "queue");
   }
 
-  const RstknnSearcher searcher =
-      frozen_ != nullptr ? RstknnSearcher(frozen_, dataset_, scorer_)
-                         : RstknnSearcher(tree_, dataset_, scorer_);
+  const RstknnSearcher searcher(tree_, dataset_, scorer_);
   Stopwatch wall;
   pool_->ParallelFor(
       queries.size(), /*chunk=*/1, [&](size_t i, size_t w) {
@@ -187,6 +174,9 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
         worker_options.scratch = scratches[w].get();
         worker_options.publish_metrics = false;
         if (profiling_) worker_options.profiler = profilers[w].get();
+        // Slow-query capture: each query owns a PRIVATE trace + recorder, so
+        // the single-threaded trace contract holds even though the batch is
+        // parallel.
         std::unique_ptr<obs::QueryTrace> trace;
         obs::ExplainRecorder recorder;
         if (slow_log_ != nullptr || sampled) {
@@ -198,9 +188,6 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
         }
         if (heatmap_ != nullptr) {
           worker_options.heatmap = worker_heatmaps[w].get();
-        }
-        if (explain_index != nullptr) {
-          worker_options.explain_index = explain_index.get();
         }
         results[i] = searcher.Search(queries[i], worker_options);
         const double ms = query_timer.ElapsedMillis();
@@ -274,45 +261,6 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
   aggregate.total.Publish(obs::names::kRstknnPrefix);
   metrics.rstknn_queries.Add(aggregate.queries);
   metrics.rstknn_answers.Add(aggregate.answers);
-  metrics.batches.Increment();
-  metrics.batch_queries.Add(aggregate.queries);
-  metrics.batch_ms.Record(wall_ms);
-  if (batch_stats != nullptr) *batch_stats = std::move(aggregate);
-  return results;
-}
-
-std::vector<std::vector<TopKResult>> BatchRunner::RunTopK(
-    const std::vector<TopKQuery>& queries, BatchStats* batch_stats) const {
-  RST_CHECK(tree_ != nullptr) << "RunTopK is pointer-tree-only";
-  const BatchMetrics& metrics = BatchMetrics::Get();
-  const size_t workers = pool_->num_threads();
-  std::vector<std::vector<TopKResult>> results(queries.size());
-  std::vector<WorkerSlot> slots(workers);
-
-  const TopKSearcher searcher(tree_, dataset_, scorer_);
-  Stopwatch wall;
-  pool_->ParallelFor(
-      queries.size(), /*chunk=*/1, [&](size_t i, size_t w) {
-        metrics.queue_wait_ms.Record(wall.ElapsedMillis());
-        Stopwatch query_timer;
-        IoStats io;
-        results[i] = searcher.Search(queries[i], &io);
-        slots[w].busy_ms += query_timer.ElapsedMillis();
-        slots[w].answers += results[i].size();
-        slots[w].stats.io += io;
-      });
-  const double wall_ms = wall.ElapsedMillis();
-
-  BatchStats aggregate;
-  aggregate.queries = queries.size();
-  aggregate.wall_ms = wall_ms;
-  aggregate.worker_busy_ms.reserve(workers);
-  for (const WorkerSlot& slot : slots) {
-    aggregate.total.Merge(slot.stats);
-    aggregate.answers += slot.answers;
-    aggregate.worker_busy_ms.push_back(slot.busy_ms);
-    metrics.worker_busy_ms.Record(slot.busy_ms);
-  }
   metrics.batches.Increment();
   metrics.batch_queries.Add(aggregate.queries);
   metrics.batch_ms.Record(wall_ms);

@@ -8,7 +8,6 @@
 #include "rst/iurtree/iurtree.h"
 #include "rst/obs/journal.h"
 #include "rst/rstknn/rstknn.h"
-#include "rst/topk/topk.h"
 
 namespace rst {
 
@@ -35,8 +34,7 @@ obs::JournalQueryRecord MakeJournalRecord(uint64_t index,
 
 /// Aggregate accounting for one batch run.
 struct BatchStats {
-  /// Sum of every query's RstknnStats (for RunTopK only the nested IoStats
-  /// is populated).
+  /// Sum of every query's RstknnStats.
   RstknnStats total;
   uint64_t queries = 0;
   uint64_t answers = 0;  ///< total result rows across the batch
@@ -46,15 +44,15 @@ struct BatchStats {
   std::vector<double> worker_busy_ms;
 };
 
-/// Evaluates batches of RSTkNN (and top-k / MaxBRSTkNN candidate-scoring)
-/// queries concurrently over a shared read-only IurTree + Dataset.
+/// Evaluates batches of RSTkNN queries concurrently over a shared read-only
+/// frozen snapshot (rst::frozen) + Dataset.
 ///
 /// Determinism contract: results are written into slots keyed by query index
 /// and each query runs the unmodified single-query algorithm, so the output
 /// vector is byte-identical to running the same queries serially — at any
 /// thread count, regardless of scheduling.
 ///
-/// What is shared vs. per-worker: the tree, dataset, scorer and (optional)
+/// What is shared vs. per-worker: the snapshot, dataset, scorer and (optional)
 /// BufferPool are shared read-only/thread-safe; each worker owns a
 /// ProbeScratch, an RstknnStats accumulator and a busy-time stopwatch, so
 /// the query hot path takes no locks. A caller-supplied options.trace would
@@ -79,18 +77,9 @@ class BatchRunner {
  public:
   /// All referents must outlive the runner. `pool` is borrowed, not owned —
   /// callers typically keep one pool for many batches.
-  BatchRunner(const IurTree* tree, const Dataset* dataset,
+  BatchRunner(const frozen::FrozenTree* tree, const Dataset* dataset,
               const StScorer* scorer, ThreadPool* pool)
       : tree_(tree), dataset_(dataset), scorer_(scorer), pool_(pool) {}
-
-  /// Batches over a frozen flat-layout snapshot (rst::frozen) instead of the
-  /// pointer tree. RunRstknn behaves identically (the determinism contract
-  /// extends across views: same queries ⇒ byte-identical results either
-  /// way); RunTopK is pointer-tree-only and must not be called on a
-  /// frozen-backed runner.
-  BatchRunner(const frozen::FrozenTree* frozen, const Dataset* dataset,
-              const StScorer* scorer, ThreadPool* pool)
-      : frozen_(frozen), dataset_(dataset), scorer_(scorer), pool_(pool) {}
 
   /// Attaches a slow-query capture sink for RunRstknn (see the class comment;
   /// the log must outlive the runner's batches). Null disables capture — the
@@ -126,24 +115,15 @@ class BatchRunner {
   void set_heatmap(obs::HeatmapRecorder* heatmap) { heatmap_ = heatmap; }
 
   /// Runs every query through RstknnSearcher::Search. `options.trace`,
-  /// `options.scratch`, `options.explain` and `options.explain_index` are
+  /// `options.scratch`, `options.explain` and `options.heatmap` are
   /// overridden per worker; `options.pool` (real-I/O mode) is honored and
   /// requires the concurrent-reader-safe BufferPool.
   std::vector<RstknnResult> RunRstknn(const std::vector<RstknnQuery>& queries,
                                       const RstknnOptions& options,
                                       BatchStats* batch_stats = nullptr) const;
 
-  /// Runs every query through TopKSearcher::Search — the kernel both the
-  /// precompute baseline and the MaxBRSTkNN candidate-scoring pass (per-user
-  /// top-k) batch over. Simulated I/O is aggregated into
-  /// batch_stats->total.io.
-  std::vector<std::vector<TopKResult>> RunTopK(
-      const std::vector<TopKQuery>& queries,
-      BatchStats* batch_stats = nullptr) const;
-
  private:
-  const IurTree* tree_ = nullptr;
-  const frozen::FrozenTree* frozen_ = nullptr;
+  const frozen::FrozenTree* tree_;
   const Dataset* dataset_;
   const StScorer* scorer_;
   ThreadPool* pool_;

@@ -620,19 +620,6 @@ void IurTree::ChargeAccess(const Node* node, IoStats* stats) const {
   }
 }
 
-Status IurTree::ReadNodePayload(const Node* node, BufferPool* pool,
-                                IoStats* stats, InvertedFile* out) const {
-  if (storage_dirty_ || !node->invfile_handle.valid()) {
-    return Status::FailedPrecondition("storage not finalized");
-  }
-  stats->AddNodeRead();
-  auto payload = pool->Fetch(node->invfile_handle, stats);
-  if (!payload.ok()) return payload.status();
-  size_t offset = 0;
-  obs::TraceSpan decode_span(pool->trace(), obs::names::kSpanPayloadDecode);
-  return DecodeInvertedFile(*payload.value(), &offset, out);
-}
-
 namespace {
 
 /// Formats "depth D, entry I" for invariant-violation messages so a failed
@@ -839,32 +826,6 @@ TextBounds EntryTextBounds(const IurTree::Entry& entry,
     bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(summary, other));
   }
   return bounds;
-}
-
-ExplainIndex::ExplainIndex(const IurTree& tree) {
-  // Preorder over entries in node order: parents get smaller ids than their
-  // descendants, siblings number left to right — the same order every build
-  // of the same tree produces.
-  uint64_t next_id = 1;
-  struct Frame {
-    const IurTree::Node* node;
-    uint32_t level;
-  };
-  std::vector<Frame> stack;
-  if (tree.root() != nullptr) stack.push_back({tree.root(), 0});
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    // Children are pushed in reverse so they pop in entry order; preorder ids
-    // still only depend on structure either way.
-    for (size_t i = frame.node->entries.size(); i-- > 0;) {
-      const IurTree::Entry& e = frame.node->entries[i];
-      if (!e.is_object()) stack.push_back({e.child, frame.level + 1});
-    }
-    for (const IurTree::Entry& e : frame.node->entries) {
-      info_.emplace(&e, Info{next_id++, frame.level});
-    }
-  }
 }
 
 TextBounds EntryPairTextBounds(const IurTree::Entry& a, const IurTree::Entry& b,

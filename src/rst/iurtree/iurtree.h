@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "rst/common/geometry.h"
@@ -157,14 +156,6 @@ class IurTree {
   /// blocks of its inverted file (papers' methodology; DESIGN.md §3.5).
   void ChargeAccess(const Node* node, IoStats* stats) const;
 
-  /// Reads `node`'s serialized inverted file through a buffer pool (real
-  /// bytes from the page store; cache hits charge nothing) and decodes it.
-  /// This is the full disk path — algorithms use the in-memory entries plus
-  /// ChargeAccess for speed, but the storage layer round-trips for real.
-  /// Requires FinalizeStorage() to have run; `pool` must wrap page_store().
-  Status ReadNodePayload(const Node* node, BufferPool* pool, IoStats* stats,
-                         InvertedFile* out) const;
-
   /// Deep structural validation for tests: MBRs tight, summaries exactly the
   /// merge of children, counts consistent, leaves at equal depth, cluster
   /// summaries partition the blended summary. `doc_of` maps an item id to
@@ -194,38 +185,6 @@ class IurTree {
   size_t size_ = 0;
   bool clustered_ = false;
   bool storage_dirty_ = true;
-};
-
-/// Deterministic numbering of a tree's entries for EXPLAIN diagnostics
-/// (rst::obs::ExplainRecorder): a preorder walk assigns every entry a stable
-/// id and its tree level (0 = the root's entries, increasing downward; object
-/// entries carry their object id separately in the tree itself). Ids depend
-/// only on tree structure — never on pointer values — so explain output is
-/// byte-reproducible across runs, thread counts, and ASLR.
-///
-/// The index holds raw Entry pointers: it is invalidated by Insert/Delete on
-/// the tree and must be rebuilt. Read-only sharing across concurrent queries
-/// is safe (exec::BatchRunner builds one per batch).
-class ExplainIndex {
- public:
-  struct Info {
-    uint64_t id = 0;
-    uint32_t level = 0;
-  };
-
-  explicit ExplainIndex(const IurTree& tree);
-
-  /// Info for an entry of the indexed tree; {0, 0} for unknown pointers
-  /// (id 0 is never assigned — numbering starts at 1).
-  Info Lookup(const IurTree::Entry* entry) const {
-    auto it = info_.find(entry);
-    return it == info_.end() ? Info{} : it->second;
-  }
-
-  size_t size() const { return info_.size(); }
-
- private:
-  std::unordered_map<const IurTree::Entry*, Info> info_;
 };
 
 /// Text bounds of an entry against a plain summary (e.g. a query document or

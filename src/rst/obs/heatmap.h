@@ -14,12 +14,11 @@ namespace rst::obs {
 class JsonWriter;
 
 /// Per-node counters accumulated by a HeatmapRecorder. A node is identified
-/// by its stable explain preorder id (ExplainIndex numbering for the pointer
-/// tree; `entry_index + 1` for a FrozenTree — the two agree for trees built
-/// from the same data), so heatmaps from pointer and frozen runs of the same
-/// workload are directly comparable.
+/// by its stable explain id (`entry_index + 1` in the searched FrozenTree),
+/// so heatmaps from runs of the same workload over the same tree are
+/// directly comparable.
 struct HeatmapNodeCounters {
-  uint32_t level = 0;             ///< tree level (0 = leaf entries)
+  uint32_t level = 0;             ///< tree level (0 = root entries)
   uint64_t visits = 0;            ///< decisions of any kind touching this node
   uint64_t pruned = 0;            ///< subtree discarded via bounds
   uint64_t expanded = 0;          ///< node opened, children enqueued

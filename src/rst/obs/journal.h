@@ -34,7 +34,7 @@ struct JournalHeader {
   std::string label;      ///< "rstknn", "rstknn.batch", "load_driver", ...
   std::string data;       ///< dataset path ("" if not materialized)
   std::string algo;       ///< "probe" | "contribution_list"
-  std::string view;       ///< "pointer" | "frozen"
+  std::string view;       ///< "frozen"; older captures say "pointer"
   std::string tree;       ///< "iur" | "ciur"
   std::string measure;    ///< text similarity measure flag value
   std::string weighting;  ///< term weighting flag value

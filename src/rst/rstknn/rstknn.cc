@@ -43,7 +43,6 @@ RstknnStats& RstknnStats::Merge(const RstknnStats& other) {
 RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
                                     const RstknnOptions& options) const {
   using rstknn_internal::FrozenTreeView;
-  using rstknn_internal::PointerTreeView;
   using rstknn_internal::SearchContributionList;
   using rstknn_internal::SearchProbe;
 
@@ -73,21 +72,11 @@ RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
                         options.algorithm == RstknnAlgorithm::kContributionList
                             ? obs::names::kSpanRstknnContributionList
                             : obs::names::kSpanRstknnProbe);
-    const bool contribution_list =
-        options.algorithm == RstknnAlgorithm::kContributionList;
-    if (frozen_ != nullptr) {
-      const FrozenTreeView view{frozen_};
-      result = contribution_list
-                   ? SearchContributionList(view, *dataset_, *scorer_, query,
-                                            options)
-                   : SearchProbe(view, *dataset_, *scorer_, query, options);
-    } else {
-      const PointerTreeView view{tree_};
-      result = contribution_list
-                   ? SearchContributionList(view, *dataset_, *scorer_, query,
-                                            options)
-                   : SearchProbe(view, *dataset_, *scorer_, query, options);
-    }
+    const FrozenTreeView view{tree_};
+    result = options.algorithm == RstknnAlgorithm::kContributionList
+                 ? SearchContributionList(view, *dataset_, *scorer_, query,
+                                          options)
+                 : SearchProbe(view, *dataset_, *scorer_, query, options);
   }
   // Phase histograms are per-query by nature, so they publish even when the
   // aggregate-publish path (publish_metrics == false) suppresses the per-

@@ -102,9 +102,8 @@ struct RstknnOptions {
   /// Optional real-I/O mode: node accesses read the serialized inverted
   /// files through this pool (hits/misses land in the buffer-pool metrics)
   /// instead of the simulated ChargeAccess. The pool must wrap the searched
-  /// tree's page store (IurTree::page_store(), or FrozenTree::page_store()
-  /// when searching a frozen snapshot) and that tree must carry finalized
-  /// payloads.
+  /// snapshot's FrozenTree::page_store(), and the snapshot must carry
+  /// payloads (frozen from a tree with finalized storage).
   BufferPool* pool = nullptr;
   /// Optional reusable working memory (see ProbeScratch). Null allocates
   /// fresh scratch per query — correct, just slower for batches.
@@ -121,19 +120,14 @@ struct RstknnOptions {
   /// (ExplainRecorder::CheckReconciles). Null (the default) costs one branch
   /// per decision.
   obs::ExplainRecorder* explain = nullptr;
-  /// Deterministic entry numbering behind explain node ids. Shareable
-  /// read-only across queries and threads; when null while `explain` is set,
-  /// the search builds a private index (an O(tree) walk per query — share
-  /// one across a batch instead).
-  const ExplainIndex* explain_index = nullptr;
   /// Optional cross-query index heatmap: every branch-and-bound decision
   /// also bumps per-node visit/prune/expand/report counters keyed by the
   /// same stable explain ids. Unlike `explain` the recorder is NOT reset per
   /// query — it accumulates a workload-level view whose totals reconcile
   /// exactly against the summed RstknnStats over the recorded queries
   /// (HeatmapRecorder::CheckReconciles). Not thread-safe: one per worker,
-  /// merged after the batch. `explain_index` sharing applies here too.
-  /// Null (the default) costs one branch per decision.
+  /// merged after the batch. Null (the default) costs one branch per
+  /// decision.
   obs::HeatmapRecorder* heatmap = nullptr;
 };
 
@@ -166,30 +160,22 @@ struct RstknnResult {
 /// pruned when MaxST(q,E) < kNNL(E), reported when MinST(q,E) >= kNNU(E),
 /// and expanded otherwise. kNNL/kNNU come from contribution lists over the
 /// live entry set.
+///
+/// The search runs over a frozen flat-layout snapshot (rst::frozen): build or
+/// update an IurTree, call frozen::FrozenTree::Freeze, and search the
+/// snapshot. Its entry indices are the explain numbering (id = index + 1).
 class RstknnSearcher {
  public:
   /// All referents must outlive the searcher.
-  RstknnSearcher(const IurTree* tree, const Dataset* dataset,
+  RstknnSearcher(const frozen::FrozenTree* tree, const Dataset* dataset,
                  const StScorer* scorer)
       : tree_(tree), dataset_(dataset), scorer_(scorer) {}
-
-  /// Searches a frozen flat-layout snapshot (rst::frozen) instead of the
-  /// pointer tree. Both algorithms run the exact same templated code over a
-  /// thin tree view, so answers, RstknnStats, and EXPLAIN output are
-  /// byte-identical to a pointer-tree search over the tree the snapshot was
-  /// frozen from. `options.explain_index` is ignored in this mode — the
-  /// frozen layout stores entries in explain preorder, so ids are read
-  /// straight off entry indices.
-  RstknnSearcher(const frozen::FrozenTree* frozen, const Dataset* dataset,
-                 const StScorer* scorer)
-      : frozen_(frozen), dataset_(dataset), scorer_(scorer) {}
 
   RstknnResult Search(const RstknnQuery& query,
                       const RstknnOptions& options = RstknnOptions()) const;
 
  private:
-  const IurTree* tree_ = nullptr;
-  const frozen::FrozenTree* frozen_ = nullptr;
+  const frozen::FrozenTree* tree_;
   const Dataset* dataset_;
   const StScorer* scorer_;
 };

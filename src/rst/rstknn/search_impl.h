@@ -2,25 +2,24 @@
 #define RST_RSTKNN_SEARCH_IMPL_H_
 
 /// The templated branch-and-bound engine behind RstknnSearcher, shared by
-/// rstknn.cc (single-tree views) and rst::shard (forest views). Everything
-/// here is an implementation detail: include it only from .cc files that
-/// instantiate a search over a concrete tree view.
+/// rstknn.cc (the frozen single-tree view) and rst::shard (forest views).
+/// Everything here is an implementation detail: include it only from .cc
+/// files that instantiate a search over a concrete tree view.
 ///
 /// The tree-view abstraction: both RSTkNN algorithms are templates over a
-/// read-only view so the pointer IUR-/CIUR-tree, the frozen flat-layout
-/// snapshot (rst::frozen), and the sharded forest (rst::shard) run the exact
-/// same code. A view names nodes and entries by a NodeRef/EntryRef (pointers
-/// for the pointer tree, dense indices for the frozen one, packed
-/// (shard, index) words for the forest) and exposes:
+/// read-only view so the frozen flat-layout snapshot (rst::frozen) and the
+/// sharded forest of frozen trees (rst::shard) run the exact same code. A
+/// view names nodes and entries by a NodeRef/EntryRef (dense indices for the
+/// frozen tree, packed (shard, index) words for the forest) and exposes:
 ///   * topology    — Root, NumEntries, EntryAt, Child, IsObject, Id, Count;
 ///   * geometry    — RectOf;
 ///   * text        — Summary / ClusterSummary as SummarySpan, which feed the
 ///                   single span-kernel implementation of every similarity
-///                   bound, so all floats are bit-identical across views;
+///                   bound;
 ///   * keys        — NodeKey/EntryKey map refs to uintptr_t so one
 ///                   ProbeScratch::Impl (hash sets/memos) serves all views;
 ///   * I/O         — Charge (simulated or real through a buffer pool);
-///   * explain     — ExplainInfo yielding the deterministic preorder ids;
+///   * explain     — ExplainOf yielding the deterministic explain id/level;
 ///   * scope hooks — ProbeRoot / CollectSelfPath / ForEachContextEntry,
 ///                   which default to the single-tree behaviour and let a
 ///                   shard-scoped view search one tree of a forest while
@@ -33,9 +32,9 @@
 ///         the contribution-list algorithm must account for but never report
 ///         (default: none; the forest view yields one virtual entry per
 ///         foreign shard).
-/// Entry iteration order is identical in all views, every queue receives the
+/// Entry iteration order is fixed by the layout, every queue receives the
 /// same insertion sequence, and the memo containers are never iterated — so
-/// results, RstknnStats, and EXPLAIN output are byte-identical.
+/// results, RstknnStats, and EXPLAIN output are deterministic.
 
 #include <algorithm>
 #include <cstdint>
@@ -102,9 +101,9 @@ struct PairBoundsValue {
 /// to keep for as long as their scope allows: cand_bounds spans one
 /// candidate's two probes, pair_bounds spans one whole contribution-list
 /// query. clear() keeps hash-table buckets, which is the point of reuse.
-/// Nodes and entries are keyed by the view's uintptr_t keys (pointers or
-/// dense indices), so the same scratch serves every tree view — never mix
-/// views within one query, which no searcher does.
+/// Nodes and entries are keyed by the view's uintptr_t keys (dense or packed
+/// indices), so the same scratch serves every tree view — never mix views
+/// within one query, which no searcher does.
 struct ProbeScratch::Impl {
   std::unordered_set<uintptr_t> self_path;
   std::unordered_set<uintptr_t> charged;
@@ -149,72 +148,11 @@ bool CollectPath(const View& view, typename View::NodeRef node, ObjectId id,
   return false;
 }
 
-struct PointerTreeView {
-  using NodeRef = const IurTree::Node*;
-  using EntryRef = const IurTree::Entry*;
-
-  const IurTree* tree = nullptr;
-
-  size_t TreeSize() const { return tree->size(); }
-  NodeRef Root() const { return tree->root(); }
-  size_t NumEntries(NodeRef n) const { return n->entries.size(); }
-  EntryRef EntryAt(NodeRef n, size_t i) const { return &n->entries[i]; }
-  bool IsObject(EntryRef e) const { return e->is_object(); }
-  ObjectId Id(EntryRef e) const { return e->id; }
-  NodeRef Child(EntryRef e) const { return e->child; }
-  uint32_t Count(EntryRef e) const { return e->count(); }
-  const Rect& RectOf(EntryRef e) const { return e->rect; }
-  SummarySpan Summary(EntryRef e) const { return AsSpan(e->summary); }
-  size_t NumClusters(EntryRef e) const { return e->clusters.size(); }
-  SummarySpan ClusterSummary(EntryRef e, size_t i) const {
-    return AsSpan(e->clusters[i].second);
-  }
-  uint32_t ClusterCount(EntryRef e, size_t i) const {
-    return e->clusters[i].second.count;
-  }
-
-  static uintptr_t NodeKey(NodeRef n) { return reinterpret_cast<uintptr_t>(n); }
-  static uintptr_t EntryKey(EntryRef e) {
-    return reinterpret_cast<uintptr_t>(e);
-  }
-
-  /// Scope hooks (single-tree defaults; see the header comment).
-  NodeRef ProbeRoot() const { return Root(); }
-  void CollectSelfPath(ObjectId id, std::unordered_set<uintptr_t>* path) const {
-    CollectPath(*this, Root(), id, path);
-  }
-  template <typename Fn>
-  void ForEachContextEntry(Fn&&) const {}
-
-  /// Charges one node access. In real-I/O mode (options.pool set) the node's
-  /// serialized inverted file is read through the buffer pool — hits charge
-  /// nothing and the pool's hit/miss/fill metrics reflect genuine traffic;
-  /// otherwise the papers' simulated accounting applies.
-  void Charge(NodeRef n, const RstknnOptions& options,
-              RstknnStats* stats) const {
-    if (options.pool != nullptr) {
-      obs::TraceSpan span(options.trace, obs::names::kSpanStorageReadNode);
-      obs::PhaseTimer io_phase(options.profiler, obs::Phase::kIo);
-      InvertedFile invfile;
-      if (tree->ReadNodePayload(n, options.pool, &stats->io, &invfile).ok()) {
-        return;
-      }
-      // Payloads not finalized: fall back below (nothing was charged).
-    }
-    tree->ChargeAccess(n, &stats->io);
-  }
-
-  void PrepareExplain(const RstknnOptions& options, const ExplainIndex** index,
-                      std::unique_ptr<ExplainIndex>* local) const {
-    *index = options.explain_index;
-    if (*index == nullptr) {
-      *local = std::make_unique<ExplainIndex>(*tree);
-      *index = local->get();
-    }
-  }
-  ExplainIndex::Info ExplainInfo(EntryRef e, const ExplainIndex* index) const {
-    return index->Lookup(e);
-  }
+/// Explain id and tree level of one entry: the stable numbering behind
+/// EXPLAIN decisions and heatmap nodes (ids start at 1).
+struct ExplainInfo {
+  uint64_t id = 0;
+  uint32_t level = 0;
 };
 
 struct FrozenTreeView {
@@ -254,6 +192,10 @@ struct FrozenTreeView {
   template <typename Fn>
   void ForEachContextEntry(Fn&&) const {}
 
+  /// Charges one node access. In real-I/O mode (options.pool set) the node's
+  /// serialized inverted file is read through the buffer pool — hits charge
+  /// nothing and the pool's hit/miss/fill metrics reflect genuine traffic;
+  /// otherwise the papers' simulated accounting applies.
   void Charge(NodeRef n, const RstknnOptions& options,
               RstknnStats* stats) const {
     if (options.pool != nullptr) {
@@ -263,25 +205,22 @@ struct FrozenTreeView {
       if (tree->ReadNodePayload(n, options.pool, &stats->io, &invfile).ok()) {
         return;
       }
+      // Payloads not finalized: fall back below (nothing was charged).
     }
     tree->ChargeAccess(n, &stats->io);
   }
 
-  /// Frozen entry indices ARE the explain numbering (index + 1); no
-  /// ExplainIndex is built or consulted.
-  void PrepareExplain(const RstknnOptions&, const ExplainIndex**,
-                      std::unique_ptr<ExplainIndex>*) const {}
-  ExplainIndex::Info ExplainInfo(EntryRef e, const ExplainIndex*) const {
-    return ExplainIndex::Info{static_cast<uint64_t>(e) + 1,
-                              tree->EntryLevel(e)};
+  /// Frozen entry indices ARE the explain numbering (index + 1).
+  ExplainInfo ExplainOf(EntryRef e) const {
+    return ExplainInfo{static_cast<uint64_t>(e) + 1, tree->EntryLevel(e)};
   }
 };
 
 /// Generic counterparts of EntryTextBounds / EntryPairTextBounds /
 /// EntryTextBoundsVsClusters / EntryClusterEntropy (iurtree.h). Cluster
-/// iteration order and kernel call sequence match the pointer-tree free
-/// functions exactly — those now share the same span kernels underneath, so
-/// the computed doubles are bit-identical.
+/// iteration order and kernel call sequence match those IurTree free
+/// functions exactly — both share the same span kernels underneath, so the
+/// computed doubles are bit-identical.
 template <typename View>
 TextBounds ViewEntryTextBounds(const View& view, typename View::EntryRef e,
                                const SummarySpan& other,
@@ -381,34 +320,27 @@ void CollectObjectIds(const View& view, typename View::EntryRef entry,
 }
 
 /// Per-query EXPLAIN state: the recorder (reset + stamped here) and the
-/// entry-numbering source — the pointer view uses an ExplainIndex (the
-/// caller's shared one or a private fallback); the frozen view reads ids off
-/// its entry indices. Everything is a no-op when no recorder is attached.
-template <typename View>
+/// cross-query heatmap, both keyed by the view's explain ids. Everything is
+/// a no-op when neither is attached.
 struct ExplainSink {
   obs::ExplainRecorder* recorder = nullptr;
   obs::HeatmapRecorder* heatmap = nullptr;
-  const ExplainIndex* index = nullptr;
-  std::unique_ptr<ExplainIndex> local_index;
 
-  ExplainSink(const View& view, const RstknnOptions& options,
-              std::string_view algorithm) {
-    recorder = options.explain;
-    heatmap = options.heatmap;
-    if (recorder == nullptr && heatmap == nullptr) return;
+  ExplainSink(const RstknnOptions& options, std::string_view algorithm)
+      : recorder(options.explain), heatmap(options.heatmap) {
+    // The heatmap is deliberately NOT reset: it accumulates across queries.
     if (recorder != nullptr) {
       recorder->Reset();
       recorder->SetAlgorithm(algorithm);
     }
-    // The heatmap is deliberately NOT reset: it accumulates across queries.
-    view.PrepareExplain(options, &index, &local_index);
   }
 
+  template <typename View>
   void Record(const View& view, typename View::EntryRef entry, double q_min,
               double q_max, obs::ExplainVerdict verdict,
               obs::ExplainBound bound, uint64_t decided_objects) const {
     if (recorder == nullptr && heatmap == nullptr) return;
-    const ExplainIndex::Info info = view.ExplainInfo(entry, index);
+    const ExplainInfo info = view.ExplainOf(entry);
     if (recorder != nullptr) {
       recorder->Record({info.id, info.level, verdict, bound, q_min, q_max,
                         decided_objects});
@@ -576,7 +508,7 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
   obs::PhaseProfiler* profiler = options.profiler;
   if (trace != nullptr) trace->Enter(obs::names::kSpanSetup);
   if (profiler != nullptr) profiler->Enter(obs::Phase::kDescent);
-  const ExplainSink<View> explain(view, options, "probe");
+  const ExplainSink explain(options, "probe");
   const double alpha = scorer.options().alpha;
   const TextSummary qsum = TextSummary::FromDoc(*query.doc);
   const SummarySpan qspan = AsSpan(qsum);
@@ -775,7 +707,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   using EntryRef = typename View::EntryRef;
   RstknnResult result;
   if (view.TreeSize() == 0 || query.k == 0) return result;
-  const ExplainSink<View> explain(view, options, "contribution_list");
+  const ExplainSink explain(options, "contribution_list");
   const double alpha = scorer.options().alpha;
   const TextSummary qsum = TextSummary::FromDoc(*query.doc);
   const SummarySpan qspan = AsSpan(qsum);

@@ -139,16 +139,13 @@ struct ForestView {
   /// Globally unique, deterministic heatmap ids: 1..K are the virtual shard
   /// entries (level 0); shard s's entry e maps to K + offset[s] + e + 1 one
   /// level down from its in-shard level.
-  void PrepareExplain(const RstknnOptions&, const ExplainIndex**,
-                      std::unique_ptr<ExplainIndex>*) const {}
-  ExplainIndex::Info ExplainInfo(EntryRef e, const ExplainIndex*) const {
+  rstknn_internal::ExplainInfo ExplainOf(EntryRef e) const {
     if (IsVirtual(e)) {
-      return ExplainIndex::Info{static_cast<uint64_t>(VShard(e)) + 1, 0};
+      return {static_cast<uint64_t>(VShard(e)) + 1, 0};
     }
     const uint32_t s = Shard(e);
-    return ExplainIndex::Info{
-        index->num_shards() + (*entry_offsets)[s] + Idx(e) + 1,
-        index->shard(s).EntryLevel(Idx(e)) + 1};
+    return {index->num_shards() + (*entry_offsets)[s] + Idx(e) + 1,
+            index->shard(s).EntryLevel(Idx(e)) + 1};
   }
 };
 

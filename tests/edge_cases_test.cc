@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/maxbrst/miur.h"
 #include "rst/rstknn/rstknn.h"
 
@@ -21,6 +22,17 @@ Dataset TinyDataset(std::vector<std::pair<Point, std::vector<TermId>>> rows,
   return d;
 }
 
+/// Answers of `query` under the probe algorithm, after checking that the
+/// contribution-list algorithm returns the same set.
+std::vector<ObjectId> Answers(const RstknnSearcher& rst,
+                              const RstknnQuery& query) {
+  RstknnOptions cl;
+  cl.algorithm = RstknnAlgorithm::kContributionList;
+  std::vector<ObjectId> answers = rst.Search(query).answers;
+  EXPECT_EQ(rst.Search(query, cl).answers, answers);
+  return answers;
+}
+
 TEST(EdgeCaseTest, EmptyDataset) {
   Dataset d = TinyDataset({});
   const IurTree tree = IurTree::BuildFromDataset(d, {});
@@ -29,9 +41,10 @@ TEST(EdgeCaseTest, EmptyDataset) {
   const TermVector qdoc = TermVector::FromTerms({1});
   TopKSearcher topk(&tree, &d, &scorer);
   EXPECT_TRUE(topk.Search({Point{0, 0}, &qdoc, 5, IurTree::kNoObject}).empty());
-  RstknnSearcher rst(&tree, &d, &scorer);
+  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
+  RstknnSearcher rst(&snapshot, &d, &scorer);
   EXPECT_TRUE(
-      rst.Search({Point{0, 0}, &qdoc, 5, IurTree::kNoObject}).answers.empty());
+      Answers(rst, {Point{0, 0}, &qdoc, 5, IurTree::kNoObject}).empty());
 }
 
 TEST(EdgeCaseTest, SingleObject) {
@@ -39,14 +52,15 @@ TEST(EdgeCaseTest, SingleObject) {
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
-  RstknnSearcher rst(&tree, &d, &scorer);
+  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
+  RstknnSearcher rst(&snapshot, &d, &scorer);
   const TermVector qdoc = TermVector::FromTerms({0});
   // The lone object has no competitors: q is trivially in its top-k.
-  const auto r = rst.Search({Point{5, 5}, &qdoc, 3, IurTree::kNoObject});
-  EXPECT_EQ(r.answers, std::vector<ObjectId>{0});
+  EXPECT_EQ(Answers(rst, {Point{5, 5}, &qdoc, 3, IurTree::kNoObject}),
+            std::vector<ObjectId>{0});
   // Excluding the object itself leaves nothing.
   const StObject& obj = d.object(0);
-  EXPECT_TRUE(rst.Search({obj.loc, &obj.doc, 3, 0}).answers.empty());
+  EXPECT_TRUE(Answers(rst, {obj.loc, &obj.doc, 3, 0}).empty());
 }
 
 TEST(EdgeCaseTest, KZeroReturnsNothing) {
@@ -54,10 +68,11 @@ TEST(EdgeCaseTest, KZeroReturnsNothing) {
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
-  RstknnSearcher rst(&tree, &d, &scorer);
+  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
+  RstknnSearcher rst(&snapshot, &d, &scorer);
   const TermVector qdoc = TermVector::FromTerms({0});
   EXPECT_TRUE(
-      rst.Search({Point{0, 0}, &qdoc, 0, IurTree::kNoObject}).answers.empty());
+      Answers(rst, {Point{0, 0}, &qdoc, 0, IurTree::kNoObject}).empty());
 }
 
 TEST(EdgeCaseTest, CoincidentLocations) {
@@ -71,11 +86,12 @@ TEST(EdgeCaseTest, CoincidentLocations) {
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
-  RstknnSearcher rst(&tree, &d, &scorer);
+  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
+  RstknnSearcher rst(&snapshot, &d, &scorer);
   const StObject& q = d.object(0);
-  const auto got = rst.Search({q.loc, &q.doc, 1, 0});
-  EXPECT_EQ(got.answers, BruteForceRstknn(d, scorer, {q.loc, &q.doc, 1, 0}));
-  for (ObjectId id : got.answers) {
+  const std::vector<ObjectId> got = Answers(rst, {q.loc, &q.doc, 1, 0});
+  EXPECT_EQ(got, BruteForceRstknn(d, scorer, {q.loc, &q.doc, 1, 0}));
+  for (ObjectId id : got) {
     const double score =
         scorer.Score(d.object(id).loc, d.object(id).doc, q.loc, q.doc);
     EXPECT_FALSE(std::isnan(score));
@@ -94,11 +110,12 @@ TEST(EdgeCaseTest, IdenticalDocuments) {
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
-  RstknnSearcher rst(&tree, &d, &scorer);
+  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
+  RstknnSearcher rst(&snapshot, &d, &scorer);
   for (ObjectId qid : {0u, 20u, 39u}) {
     const StObject& q = d.object(qid);
     const RstknnQuery query{q.loc, &q.doc, 4, qid};
-    EXPECT_EQ(rst.Search(query).answers, BruteForceRstknn(d, scorer, query))
+    EXPECT_EQ(Answers(rst, query), BruteForceRstknn(d, scorer, query))
         << "qid=" << qid;
   }
 }
@@ -110,10 +127,11 @@ TEST(EdgeCaseTest, ObjectWithEmptyDocument) {
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
-  RstknnSearcher rst(&tree, &d, &scorer);
+  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
+  RstknnSearcher rst(&snapshot, &d, &scorer);
   const StObject& q = d.object(1);
   const RstknnQuery query{q.loc, &q.doc, 1, 1};
-  EXPECT_EQ(rst.Search(query).answers, BruteForceRstknn(d, scorer, query));
+  EXPECT_EQ(Answers(rst, query), BruteForceRstknn(d, scorer, query));
 }
 
 TEST(EdgeCaseTest, UserWithNoKeywords) {

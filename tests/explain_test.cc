@@ -8,6 +8,7 @@
 #include "rst/data/generators.h"
 #include "rst/exec/batch_runner.h"
 #include "rst/exec/thread_pool.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/slow_log.h"
@@ -95,16 +96,13 @@ TEST(ExplainRecorderTest, CheckReconcilesNamesTheBrokenIdentity) {
 struct ExplainFixture {
   Dataset dataset;
   std::vector<uint32_t> clusters;
-  IurTree tree;  // plain IUR-tree
-  IurTree ciur;  // clustered variant
+  frozen::FrozenTree tree;  // frozen plain IUR-tree
+  frozen::FrozenTree ciur;  // frozen clustered variant
   TextSimilarity sim;
   StScorer scorer;
 
   ExplainFixture()
-      : tree(IurTree::Build({}, {})),
-        ciur(IurTree::Build({}, {})),
-        sim(TextMeasure::kExtendedJaccard),
-        scorer(&sim, {0.5, 1.0}) {
+      : sim(TextMeasure::kExtendedJaccard), scorer(&sim, {0.5, 1.0}) {
     FlickrLikeConfig config;
     config.num_objects = 400;
     config.vocab_size = 200;
@@ -115,8 +113,9 @@ struct ExplainFixture {
     ClusteringOptions copts;
     copts.num_clusters = 6;
     clusters = ClusterDocuments(docs, copts).assignment;
-    tree = IurTree::BuildFromDataset(dataset, {});
-    ciur = IurTree::BuildFromDataset(dataset, {}, &clusters);
+    tree = frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
+    ciur = frozen::FrozenTree::Freeze(
+        IurTree::BuildFromDataset(dataset, {}, &clusters));
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});
   }
 
@@ -139,8 +138,7 @@ TEST(ExplainSearchTest, TotalsReconcileWithRstknnStats) {
   const ExplainFixture f;
   const std::vector<RstknnQuery> queries = f.Queries(16, 6);
 
-  for (const IurTree* tree : {&f.tree, &f.ciur}) {
-    const ExplainIndex index(*tree);
+  for (const frozen::FrozenTree* tree : {&f.tree, &f.ciur}) {
     for (RstknnAlgorithm algorithm :
          {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
       const RstknnSearcher searcher(tree, &f.dataset, &f.scorer);
@@ -148,7 +146,6 @@ TEST(ExplainSearchTest, TotalsReconcileWithRstknnStats) {
       RstknnOptions options;
       options.algorithm = algorithm;
       options.explain = &recorder;
-      options.explain_index = &index;
 
       for (const RstknnQuery& q : queries) {
         const RstknnResult result = searcher.Search(q, options);
@@ -172,33 +169,30 @@ TEST(ExplainSearchTest, TotalsReconcileWithRstknnStats) {
 }
 
 /// The determinism contract: same query + dataset + seed produces
-/// byte-identical explain JSON — across repeated runs, across a shared vs.
-/// recorder-private ExplainIndex, and across batch thread counts.
+/// byte-identical explain JSON — across repeated runs and across batch
+/// thread counts.
 TEST(ExplainSearchTest, JsonIsByteIdenticalAcrossRunsAndThreadCounts) {
   const ExplainFixture f;
   const size_t kQueries = 8;
   const std::vector<RstknnQuery> queries = f.Queries(kQueries, 5);
 
-  for (const IurTree* tree : {&f.tree, &f.ciur}) {
+  for (const frozen::FrozenTree* tree : {&f.tree, &f.ciur}) {
     for (RstknnAlgorithm algorithm :
          {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
       RstknnOptions options;
       options.algorithm = algorithm;
 
-      // Serial reference with an explicitly shared index.
-      const ExplainIndex index(*tree);
+      // Serial reference.
       const RstknnSearcher searcher(tree, &f.dataset, &f.scorer);
       obs::ExplainRecorder recorder;
       options.explain = &recorder;
-      options.explain_index = &index;
       std::vector<std::string> reference;
       for (const RstknnQuery& q : queries) {
         searcher.Search(q, options);
         reference.push_back(recorder.ToJson());
       }
 
-      // Second serial run, recorder-private fallback index: same bytes.
-      options.explain_index = nullptr;
+      // Second serial run with the same recorder: same bytes.
       for (size_t i = 0; i < queries.size(); ++i) {
         searcher.Search(queries[i], options);
         EXPECT_EQ(recorder.ToJson(), reference[i]) << "rerun query " << i;

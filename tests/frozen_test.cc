@@ -5,14 +5,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "rst/common/file_util.h"
 #include "rst/data/generators.h"
-#include "rst/exec/batch_runner.h"
-#include "rst/exec/thread_pool.h"
 #include "rst/iurtree/cluster.h"
-#include "rst/obs/explain.h"
 #include "rst/rstknn/rstknn.h"
 
 namespace rst {
@@ -50,11 +49,8 @@ struct Fixture {
   }
 };
 
-void ExpectStatsEqual(const RstknnStats& a, const RstknnStats& b) {
-  EXPECT_EQ(a.io.node_reads, b.io.node_reads);
-  EXPECT_EQ(a.io.payload_blocks, b.io.payload_blocks);
-  EXPECT_EQ(a.io.payload_bytes, b.io.payload_bytes);
-  EXPECT_EQ(a.io.cache_hits, b.io.cache_hits);
+/// The branch-and-bound work counters (everything but I/O).
+void ExpectTraversalEqual(const RstknnStats& a, const RstknnStats& b) {
   EXPECT_EQ(a.entries_created, b.entries_created);
   EXPECT_EQ(a.expansions, b.expansions);
   EXPECT_EQ(a.pruned_entries, b.pruned_entries);
@@ -62,6 +58,42 @@ void ExpectStatsEqual(const RstknnStats& a, const RstknnStats& b) {
   EXPECT_EQ(a.bound_computations, b.bound_computations);
   EXPECT_EQ(a.probes, b.probes);
   EXPECT_EQ(a.pq_pops, b.pq_pops);
+}
+
+void ExpectStatsEqual(const RstknnStats& a, const RstknnStats& b) {
+  EXPECT_EQ(a.io.node_reads, b.io.node_reads);
+  EXPECT_EQ(a.io.payload_blocks, b.io.payload_blocks);
+  EXPECT_EQ(a.io.payload_bytes, b.io.payload_bytes);
+  EXPECT_EQ(a.io.cache_hits, b.io.cache_hits);
+  ExpectTraversalEqual(a, b);
+}
+
+/// Explain id and level of every IurTree entry, numbered by the layout walk
+/// Freeze documents: pop a node, push its children in reverse (so they pop
+/// in entry order), then number the popped node's entries consecutively
+/// from 1.
+struct EntryNumber {
+  uint64_t id;
+  uint32_t level;
+};
+std::unordered_map<const IurTree::Entry*, EntryNumber> NumberEntries(
+    const IurTree& tree) {
+  std::unordered_map<const IurTree::Entry*, EntryNumber> numbers;
+  uint64_t next_id = 1;
+  std::vector<std::pair<const IurTree::Node*, uint32_t>> stack = {
+      {tree.root(), 0}};
+  while (!stack.empty()) {
+    const auto [node, level] = stack.back();
+    stack.pop_back();
+    for (size_t i = node->entries.size(); i-- > 0;) {
+      const IurTree::Entry& e = node->entries[i];
+      if (!e.is_object()) stack.push_back({e.child, level + 1});
+    }
+    for (const IurTree::Entry& e : node->entries) {
+      numbers.emplace(&e, EntryNumber{next_id++, level});
+    }
+  }
+  return numbers;
 }
 
 // ---------------------------------------------------------------------------
@@ -76,21 +108,20 @@ TEST(FrozenTreeTest, LayoutMatchesExplainNumbering) {
   EXPECT_TRUE(frozen.clustered());
   EXPECT_EQ(frozen.num_nodes(), f.tree.NodeCount());
 
-  // Every pointer entry's explain id must address the identical frozen
-  // entry: the frozen array order IS the explain preorder (id = index + 1).
-  const ExplainIndex index(f.tree);
-  ASSERT_EQ(index.size(), frozen.num_entries());
+  // Every IurTree entry's explain id must address the identical frozen
+  // entry: the frozen array order IS the explain numbering (id = index + 1).
+  const auto numbers = NumberEntries(f.tree);
+  ASSERT_EQ(numbers.size(), frozen.num_entries());
   std::vector<const IurTree::Node*> stack{f.tree.root()};
   size_t objects = 0;
   while (!stack.empty()) {
     const IurTree::Node* node = stack.back();
     stack.pop_back();
     for (const IurTree::Entry& entry : node->entries) {
-      const ExplainIndex::Info info = index.Lookup(&entry);
-      ASSERT_GE(info.id, 1u);
-      const uint32_t e = static_cast<uint32_t>(info.id - 1);
+      const EntryNumber number = numbers.at(&entry);
+      const uint32_t e = static_cast<uint32_t>(number.id - 1);
       ASSERT_LT(e, frozen.num_entries());
-      EXPECT_EQ(frozen.EntryLevel(e), info.level);
+      EXPECT_EQ(frozen.EntryLevel(e), number.level);
       EXPECT_EQ(frozen.EntryRect(e).min_x, entry.rect.min_x);
       EXPECT_EQ(frozen.EntryRect(e).max_y, entry.rect.max_y);
       EXPECT_EQ(frozen.IsObject(e), entry.is_object());
@@ -122,12 +153,12 @@ TEST(FrozenTreeTest, LayoutMatchesExplainNumbering) {
   EXPECT_EQ(objects, f.tree.size());
 }
 
-TEST(FrozenTreeTest, PayloadsMatchPointerTreeByteForByte) {
+TEST(FrozenTreeTest, PayloadsMatchIurTreeByteForByte) {
   const Fixture f(250, /*clustered=*/true);
   const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
   ASSERT_TRUE(frozen.has_payloads());
   // Identical re-encode order ⇒ identical page handles and total bytes, so
-  // I/O accounting (simulated and real) agrees between the views.
+  // I/O accounting (simulated and real) agrees with the source tree.
   EXPECT_EQ(frozen.IndexBytes(), f.tree.IndexBytes());
   const PageHandle root_ptr = f.tree.root()->invfile_handle;
   const PageHandle root_frz = frozen.invfile_handle(frozen.root());
@@ -136,101 +167,25 @@ TEST(FrozenTreeTest, PayloadsMatchPointerTreeByteForByte) {
   EXPECT_EQ(root_frz.bytes, root_ptr.bytes);
 }
 
-// ---------------------------------------------------------------------------
-// Determinism matrix: {probe, contribution-list} × {IUR, CIUR} × {1, 8}
-// threads — answers, stats, and explain JSON byte-identical across views.
-
-struct MatrixCase {
-  RstknnAlgorithm algorithm;
-  bool clustered;
-};
-
-class FrozenMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
-
-TEST_P(FrozenMatrixTest, FrozenViewIsByteIdentical) {
-  const MatrixCase param = GetParam();
-  const Fixture f(300, param.clustered);
-  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
-
-  // Serial: answers + stats + explain JSON per query.
-  const RstknnSearcher pointer_search(&f.tree, &f.dataset, &f.scorer);
-  const RstknnSearcher frozen_search(&frozen, &f.dataset, &f.scorer);
-  for (ObjectId qid : {ObjectId{3}, ObjectId{123}, ObjectId{222}}) {
-    const StObject& qobj = f.dataset.object(qid);
-    const RstknnQuery query{qobj.loc, &qobj.doc, 8, qid};
-    RstknnOptions options;
-    options.algorithm = param.algorithm;
-    options.publish_metrics = false;
-    obs::ExplainRecorder pointer_explain;
-    obs::ExplainRecorder frozen_explain;
-    options.explain = &pointer_explain;
-    const RstknnResult from_pointer = pointer_search.Search(query, options);
-    options.explain = &frozen_explain;
-    const RstknnResult from_frozen = frozen_search.Search(query, options);
-    EXPECT_EQ(from_pointer.answers, from_frozen.answers);
-    ExpectStatsEqual(from_pointer.stats, from_frozen.stats);
-    EXPECT_EQ(pointer_explain.ToJson(), frozen_explain.ToJson());
-  }
-
-  // Batched at 1 and 8 threads: the BatchRunner determinism contract must
-  // extend across views at every thread count.
-  std::vector<RstknnQuery> queries;
-  for (ObjectId qid = 0; qid < 40; ++qid) {
-    const StObject& qobj = f.dataset.object(qid);
-    queries.push_back({qobj.loc, &qobj.doc, 8, qid});
-  }
-  RstknnOptions options;
-  options.algorithm = param.algorithm;
-  for (const size_t threads : {size_t{1}, size_t{8}}) {
-    exec::ThreadPool pool(threads);
-    const exec::BatchRunner pointer_runner(&f.tree, &f.dataset, &f.scorer,
-                                           &pool);
-    const exec::BatchRunner frozen_runner(&frozen, &f.dataset, &f.scorer,
-                                          &pool);
-    exec::BatchStats pointer_stats;
-    exec::BatchStats frozen_stats;
-    const auto from_pointer =
-        pointer_runner.RunRstknn(queries, options, &pointer_stats);
-    const auto from_frozen =
-        frozen_runner.RunRstknn(queries, options, &frozen_stats);
-    ASSERT_EQ(from_pointer.size(), from_frozen.size());
-    for (size_t i = 0; i < from_pointer.size(); ++i) {
-      EXPECT_EQ(from_pointer[i].answers, from_frozen[i].answers)
-          << "query " << i << " at " << threads << " threads";
-      ExpectStatsEqual(from_pointer[i].stats, from_frozen[i].stats);
-    }
-    ExpectStatsEqual(pointer_stats.total, frozen_stats.total);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, FrozenMatrixTest,
-    ::testing::Values(MatrixCase{RstknnAlgorithm::kProbe, false},
-                      MatrixCase{RstknnAlgorithm::kProbe, true},
-                      MatrixCase{RstknnAlgorithm::kContributionList, false},
-                      MatrixCase{RstknnAlgorithm::kContributionList, true}));
-
-TEST(FrozenTreeTest, RealIoThroughBufferPoolMatchesPointerTree) {
+// A frozen search through a BufferPool (real reads of the serialized
+// inverted files) makes exactly the decisions of the same search on
+// simulated I/O: only the I/O accounting may differ.
+TEST(FrozenTreeTest, RealIoThroughBufferPoolMatchesSimulatedIo) {
   const Fixture f(250, /*clustered=*/false);
   const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
   const StObject& qobj = f.dataset.object(17);
   const RstknnQuery query{qobj.loc, &qobj.doc, 5, 17};
+  const RstknnSearcher searcher(&frozen, &f.dataset, &f.scorer);
 
-  BufferPool pointer_pool(&f.tree.page_store(), 64);
-  BufferPool frozen_pool(&frozen.page_store(), 64);
   RstknnOptions options;
   options.publish_metrics = false;
-  const RstknnSearcher pointer_search(&f.tree, &f.dataset, &f.scorer);
-  const RstknnSearcher frozen_search(&frozen, &f.dataset, &f.scorer);
-  options.pool = &pointer_pool;
-  const RstknnResult from_pointer = pointer_search.Search(query, options);
-  options.pool = &frozen_pool;
-  const RstknnResult from_frozen = frozen_search.Search(query, options);
-  EXPECT_EQ(from_pointer.answers, from_frozen.answers);
-  ExpectStatsEqual(from_pointer.stats, from_frozen.stats);
-  // Identical page handles ⇒ identical fetch pattern in the pool.
-  EXPECT_EQ(pointer_pool.hits(), frozen_pool.hits());
-  EXPECT_EQ(pointer_pool.misses(), frozen_pool.misses());
+  const RstknnResult simulated = searcher.Search(query, options);
+  BufferPool pool(&frozen.page_store(), 64);
+  options.pool = &pool;
+  const RstknnResult real = searcher.Search(query, options);
+  EXPECT_EQ(real.answers, simulated.answers);
+  ExpectTraversalEqual(real.stats, simulated.stats);
+  EXPECT_GT(pool.misses(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,14 +210,14 @@ TEST(FrozenSerializationTest, RoundTripIsExact) {
   EXPECT_EQ(copy.SerializeToString(), bytes);
   EXPECT_EQ(copy.IndexBytes(), frozen.IndexBytes());
 
-  // The reloaded snapshot answers queries identically to the pointer tree.
-  const RstknnSearcher pointer_search(&f.tree, &f.dataset, &f.scorer);
+  // The reloaded snapshot answers queries identically to the original.
+  const RstknnSearcher frozen_search(&frozen, &f.dataset, &f.scorer);
   const RstknnSearcher loaded_search(&copy, &f.dataset, &f.scorer);
   const StObject& qobj = f.dataset.object(42);
   const RstknnQuery query{qobj.loc, &qobj.doc, 6, 42};
   RstknnOptions options;
   options.publish_metrics = false;
-  const RstknnResult a = pointer_search.Search(query, options);
+  const RstknnResult a = frozen_search.Search(query, options);
   const RstknnResult b = loaded_search.Search(query, options);
   EXPECT_EQ(a.answers, b.answers);
   ExpectStatsEqual(a.stats, b.stats);
@@ -352,14 +307,11 @@ TEST(FrozenTreeTest, EmptyAndSingleLeafTrees) {
   EXPECT_TRUE(frozen.has_payloads());
   EXPECT_EQ(frozen.num_entries(), 6u);
   EXPECT_TRUE(frozen.CheckInvariants().ok());
-  const RstknnSearcher pointer_search(&f.tree, &f.dataset, &f.scorer);
   const RstknnSearcher frozen_search(&frozen, &f.dataset, &f.scorer);
   const StObject& qobj = f.dataset.object(2);
   const RstknnQuery query{qobj.loc, &qobj.doc, 3, 2};
   RstknnOptions options;
   options.publish_metrics = false;
-  EXPECT_EQ(pointer_search.Search(query, options).answers,
-            frozen_search.Search(query, options).answers);
   EXPECT_EQ(frozen_search.Search(query, options).answers,
             BruteForceRstknn(f.dataset, f.scorer, query));
 }

@@ -29,14 +29,13 @@ namespace {
 struct Fixture {
   Dataset dataset;
   std::vector<uint32_t> cluster_of;
-  IurTree tree;
+  frozen::FrozenTree frozen;  ///< the single-index reference snapshot
   TextSimilarity sim;
   StScorer scorer;
   IurTreeOptions topts;
 
   explicit Fixture(size_t n, bool clustered = false, uint64_t seed = 7)
-      : tree(IurTree::Build({}, {})), sim(TextMeasure::kExtendedJaccard),
-        scorer(&sim, {0.5, 1.0}) {
+      : sim(TextMeasure::kExtendedJaccard), scorer(&sim, {0.5, 1.0}) {
     FlickrLikeConfig config;
     config.num_objects = n;
     config.vocab_size = 200;
@@ -52,8 +51,8 @@ struct Fixture {
     }
     topts.max_entries = 8;
     topts.min_entries = 4;
-    tree = IurTree::BuildFromDataset(dataset, topts,
-                                     clustered ? &cluster_of : nullptr);
+    frozen = frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(
+        dataset, topts, clustered ? &cluster_of : nullptr));
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});
   }
 
@@ -87,7 +86,7 @@ Dataset TinyDataset(std::vector<std::pair<Point, std::vector<TermId>>> rows) {
 TEST(ShardTest, DeterminismMatrix) {
   for (const bool clustered : {false, true}) {
     const Fixture fx(240, clustered);
-    const RstknnSearcher reference(&fx.tree, &fx.dataset, &fx.scorer);
+    const RstknnSearcher reference(&fx.frozen, &fx.dataset, &fx.scorer);
     for (const RstknnAlgorithm algo :
          {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
       RstknnOptions options;
@@ -130,9 +129,8 @@ TEST(ShardTest, SingleShardMatchesUnshardedByteForByte) {
   const Fixture fx(150);
   const shard::ShardedIndex index = fx.BuildSharded(1);
   ASSERT_EQ(index.num_shards(), 1u);
-  const frozen::FrozenTree reference = frozen::FrozenTree::Freeze(fx.tree);
   EXPECT_EQ(index.shard(0).SerializeToString(),
-            reference.SerializeToString());
+            fx.frozen.SerializeToString());
 }
 
 // The batch runner matches the serial searcher loop result-for-result at any

@@ -1,12 +1,13 @@
-// Storage-path integration: the full disk round trip of index payloads
-// through the buffer pool, cache-hit accounting, and codec robustness under
-// corruption (randomized truncations and byte flips must produce clean
-// Status errors, never crashes or hangs).
+// Storage-path integration: the full disk round trip of frozen index
+// payloads through the buffer pool, cache-hit accounting, and codec
+// robustness under corruption (randomized truncations and byte flips must
+// produce clean Status errors, never crashes or hangs).
 
 #include <gtest/gtest.h>
 
 #include "rst/common/rng.h"
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/iurtree.h"
 #include "rst/storage/buffer_pool.h"
 
@@ -18,7 +19,8 @@ TEST(StorageIntegrationTest, NodePayloadsRoundTripThroughBufferPool) {
   config.num_objects = 600;
   config.seed = 4;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   BufferPool pool(&tree.page_store(), /*capacity_pages=*/64);
   IoStats stats;
 
@@ -31,10 +33,10 @@ TEST(StorageIntegrationTest, NodePayloadsRoundTripThroughBufferPool) {
   // The decoded postings must match the in-memory summaries.
   for (const auto& [term, postings] : file) {
     for (const Posting& p : postings) {
-      ASSERT_LT(p.id, tree.root()->entries.size());
-      const IurTree::Entry& e = tree.root()->entries[p.id];
-      EXPECT_FLOAT_EQ(p.max_weight, e.summary.uni.Get(term));
-      EXPECT_FLOAT_EQ(p.min_weight, e.summary.intr.Get(term));
+      ASSERT_LT(p.id, tree.EntryCount(tree.root()));
+      const SummarySpan e = tree.Summary(tree.EntryBegin(tree.root()) + p.id);
+      EXPECT_FLOAT_EQ(p.max_weight, e.uni.Get(term));
+      EXPECT_FLOAT_EQ(p.min_weight, e.intr.Get(term));
     }
   }
 
@@ -53,24 +55,16 @@ TEST(StorageIntegrationTest, WholeTreeScanWithSmallPool) {
   config.num_objects = 1200;
   config.seed = 5;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const IurTree source = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree = frozen::FrozenTree::Freeze(source);
   BufferPool pool(&tree.page_store(), /*capacity_pages=*/4);  // heavy eviction
   IoStats stats;
-  size_t nodes = 0;
-  std::vector<const IurTree::Node*> stack = {tree.root()};
-  while (!stack.empty()) {
-    const IurTree::Node* node = stack.back();
-    stack.pop_back();
+  for (uint32_t node = 0; node < tree.num_nodes(); ++node) {
     InvertedFile file;
     ASSERT_TRUE(tree.ReadNodePayload(node, &pool, &stats, &file).ok());
-    ++nodes;
-    if (!node->leaf) {
-      for (const IurTree::Entry& e : node->entries) {
-        stack.push_back(e.child);
-      }
-    }
   }
-  EXPECT_EQ(nodes, tree.NodeCount());
+  const size_t nodes = tree.num_nodes();
+  EXPECT_EQ(nodes, source.NodeCount());
   EXPECT_EQ(stats.node_reads, nodes);
   // Tiny pool: essentially everything misses.
   EXPECT_GE(pool.misses(), nodes - pool.capacity_pages());
@@ -82,14 +76,17 @@ TEST(StorageIntegrationTest, UnfinalizedStorageRejected) {
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
   IurTree tree = IurTree::BuildFromDataset(d, {});
   tree.Insert(100, Point{1, 1}, &d.object(0).doc);  // dirties storage
-  BufferPool pool(&tree.page_store(), 8);
+  const frozen::FrozenTree dirty = frozen::FrozenTree::Freeze(tree);
+  BufferPool pool(&dirty.page_store(), 8);
   IoStats stats;
   InvertedFile file;
-  EXPECT_EQ(tree.ReadNodePayload(tree.root(), &pool, &stats, &file).code(),
+  EXPECT_EQ(dirty.ReadNodePayload(dirty.root(), &pool, &stats, &file).code(),
             StatusCode::kFailedPrecondition);
   tree.FinalizeStorage();
-  BufferPool fresh(&tree.page_store(), 8);
-  EXPECT_TRUE(tree.ReadNodePayload(tree.root(), &fresh, &stats, &file).ok());
+  const frozen::FrozenTree finalized = frozen::FrozenTree::Freeze(tree);
+  BufferPool fresh(&finalized.page_store(), 8);
+  EXPECT_TRUE(
+      finalized.ReadNodePayload(finalized.root(), &fresh, &stats, &file).ok());
 }
 
 // Fuzz-style robustness: decoding arbitrarily corrupted buffers must fail

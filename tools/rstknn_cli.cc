@@ -6,6 +6,8 @@
 //   rstknn_cli stats    --data F
 //   rstknn_cli topk     --data F --x X --y Y --keywords "1 2 3" --k K
 //   rstknn_cli rstknn   --data F (--id QID | --x X --y Y --keywords "...") --k K
+//                       builds the IUR-tree, freezes it into the flat-layout
+//                       snapshot (rst::frozen) and answers over the snapshot;
 //                       batch mode: --ids "3 5 7" [--threads N] evaluates
 //                       the listed query objects through the rst::exec
 //                       BatchRunner (N concurrent workers, default 1) and
@@ -29,15 +31,12 @@
 //   --pool-pages N      buffer-pool capacity in 4 KiB pages (default 256)
 //
 // Frozen-index flags (rstknn only):
-//   --frozen            freeze the built tree into the flat-layout snapshot
-//                       (rst::frozen) and answer over it — byte-identical
-//                       results/metrics, pointer-free traversal
 //   --save-index FILE   freeze and persist the snapshot (versioned format);
 //                       with no query flags (--id/--ids/--keywords) the
 //                       command exits after saving
 //   --load-index FILE   answer over a previously saved snapshot instead of
-//                       rebuilding the tree (implies --frozen; --data must
-//                       still name the dataset the index was built from)
+//                       rebuilding the tree (--data must still name the
+//                       dataset the index was built from)
 //   --build-threads N   worker threads for the STR bulk-load slab sorts
 //                       (default 1; any N produces the identical tree)
 //   --check-invariants  run the deep structural validation (DESIGN.md §11.2)
@@ -339,7 +338,7 @@ RstknnAlgorithm ParseAlgorithm(const Flags& flags) {
 /// rst_replay needs to rebuild the same index and scorer, normalized to the
 /// CLI's own flag vocabulary.
 obs::JournalHeader MakeJournalHeader(const Flags& flags,
-                                     const std::string& label, bool use_frozen,
+                                     const std::string& label,
                                      uint64_t threads, uint64_t sample_every,
                                      uint64_t shards = 0) {
   obs::JournalHeader header;
@@ -348,7 +347,7 @@ obs::JournalHeader MakeJournalHeader(const Flags& flags,
   header.algo = ParseAlgorithm(flags) == RstknnAlgorithm::kContributionList
                     ? "contribution_list"
                     : "probe";
-  header.view = use_frozen || shards > 0 ? "frozen" : "pointer";
+  header.view = "frozen";  // every search runs over frozen trees
   header.tree = "iur";  // the CLI builds an unclustered IUR-tree
   header.measure = flags.Get("measure", "ej");
   header.weighting = flags.Get("weighting", "tfidf");
@@ -547,7 +546,7 @@ int CmdTopK(const Flags& flags) {
 /// BatchRunner. Traces are single-threaded by design, so --trace only
 /// annotates the artifact with the batch, not per-query spans.
 int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
-                   const IurTree* tree, const frozen::FrozenTree* frozen,
+                   const frozen::FrozenTree* frozen,
                    const shard::ShardedIndex* sharded, const StScorer& scorer,
                    obs::RuntimeSampler* sampler) {
   std::vector<ObjectId> ids;
@@ -575,9 +574,7 @@ int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
   options.algorithm = ParseAlgorithm(flags);
   std::optional<BufferPool> pool;
   if (sharded == nullptr) {
-    pool.emplace(frozen != nullptr ? &frozen->page_store()
-                                   : &tree->page_store(),
-                 obs_flags.pool_pages);
+    pool.emplace(&frozen->page_store(), obs_flags.pool_pages);
     if (!obs_flags.metrics_out.empty()) options.pool = &*pool;
   } else if (obs_flags.slow_logging() || obs_flags.profile ||
              !obs_flags.trace_out.empty()) {
@@ -591,10 +588,7 @@ int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
 
   const size_t threads = static_cast<size_t>(flags.GetInt("threads", 1));
   exec::ThreadPool thread_pool(threads);
-  exec::BatchRunner runner =
-      frozen != nullptr
-          ? exec::BatchRunner(frozen, &dataset, &scorer, &thread_pool)
-          : exec::BatchRunner(tree, &dataset, &scorer, &thread_pool);
+  exec::BatchRunner runner(frozen, &dataset, &scorer, &thread_pool);
   exec::ShardedBatchRunner sharded_runner(sharded, &dataset, &scorer,
                                           &thread_pool);
   obs::SlowQueryLog slow_log(obs_flags.slow_log_ms);
@@ -609,8 +603,8 @@ int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
   if (!obs_flags.journal_out.empty()) {
     const Status s = journal.Open(
         obs_flags.journal_out,
-        MakeJournalHeader(flags, "rstknn.batch", frozen != nullptr,
-                          thread_pool.num_threads(), obs_flags.journal_sample,
+        MakeJournalHeader(flags, "rstknn.batch", thread_pool.num_threads(),
+                          obs_flags.journal_sample,
                           sharded != nullptr ? sharded->num_shards() : 0));
     if (!s.ok()) {
       std::fprintf(stderr, "--journal-out: %s\n", s.ToString().c_str());
@@ -717,12 +711,11 @@ int CmdRstknn(const Flags& flags) {
     sampler.Start(static_cast<uint64_t>(obs_flags.telemetry_ms));
   }
 
-  // Index setup: build the pointer tree (and optionally freeze/save it), or
-  // load a previously saved frozen snapshot and skip the build entirely.
-  // With --shards the index is a directory of frozen shard trees instead.
+  // Index setup: build the IUR-tree and freeze it, or load a previously
+  // saved frozen snapshot and skip the build entirely. With --shards the
+  // index is a directory of frozen shard trees instead.
   const bool load_index = flags.Has("load-index");
   const bool save_index = flags.Has("save-index");
-  const bool use_frozen = (flags.Has("frozen") || load_index) && !use_sharded;
   std::optional<IurTree> tree;
   std::optional<frozen::FrozenTree> frozen;
   std::optional<shard::ShardedIndex> sharded;
@@ -761,9 +754,7 @@ int CmdRstknn(const Flags& flags) {
     tree_options.build_threads =
         static_cast<size_t>(flags.GetInt("build-threads", 1));
     tree.emplace(IurTree::BuildFromDataset(dataset, tree_options));
-    if (use_frozen || save_index) {
-      frozen.emplace(frozen::FrozenTree::Freeze(*tree));
-    }
+    frozen.emplace(frozen::FrozenTree::Freeze(*tree));
   }
   // Opt-in deep validation of whichever index will serve the query: every
   // node summary dominated and equal to the merge of its children, MBRs
@@ -821,8 +812,7 @@ int CmdRstknn(const Flags& flags) {
     }
   }
   if (flags.Has("ids")) {
-    return CmdRstknnBatch(flags, dataset, tree ? &*tree : nullptr,
-                          use_frozen ? &*frozen : nullptr,
+    return CmdRstknnBatch(flags, dataset, frozen ? &*frozen : nullptr,
                           sharded ? &*sharded : nullptr, scorer, &sampler);
   }
 
@@ -853,8 +843,7 @@ int CmdRstknn(const Flags& flags) {
   // single page store, so it stays on simulated charges.
   std::optional<BufferPool> pool;
   if (!use_sharded) {
-    pool.emplace(use_frozen ? &frozen->page_store() : &tree->page_store(),
-                 obs_flags.pool_pages);
+    pool.emplace(&frozen->page_store(), obs_flags.pool_pages);
   }
   if (obs_flags.tracing() || obs_flags.slow_logging()) {
     options.trace = &trace;
@@ -885,9 +874,7 @@ int CmdRstknn(const Flags& flags) {
     result.stats = res.stats;
     shard_stats = res.shards;
   } else {
-    const RstknnSearcher searcher =
-        use_frozen ? RstknnSearcher(&*frozen, &dataset, &scorer)
-                   : RstknnSearcher(&*tree, &dataset, &scorer);
+    const RstknnSearcher searcher(&*frozen, &dataset, &scorer);
     result = searcher.Search(query, options);
   }
   const double ms = timer.ElapsedMillis();
@@ -917,7 +904,7 @@ int CmdRstknn(const Flags& flags) {
     obs::WorkloadRecorder journal;
     const Status s = journal.Open(
         obs_flags.journal_out,
-        MakeJournalHeader(flags, "rstknn", use_frozen, /*threads=*/1,
+        MakeJournalHeader(flags, "rstknn", /*threads=*/1,
                           obs_flags.journal_sample,
                           use_sharded ? sharded->num_shards() : 0));
     if (!s.ok()) {
