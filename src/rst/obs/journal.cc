@@ -143,8 +143,6 @@ void AppendHeaderJson(JsonWriter* w, const JournalHeader& h) {
   w->Uint(h.threads);
   w->Key("sample_every");
   w->Uint(h.sample_every);
-  w->Key("shards");
-  w->Uint(h.shards);
   w->Key("provenance");
   w->BeginObject();
   AppendProvenanceJson(w);
@@ -237,8 +235,8 @@ Status ParseHeader(const JsonValue& obj, JournalHeader* header) {
   JOURNAL_RETURN_IF_ERROR(ReadUint(obj, "threads", &header->threads));
   JOURNAL_RETURN_IF_ERROR(ReadUint(obj, "sample_every", &header->sample_every));
   if (header->sample_every == 0) header->sample_every = 1;
-  // Optional (added with rst::shard): journals captured before the field
-  // existed parse as unsharded.
+  // Optional and no longer written: captures from the removed sharded index
+  // carry their shard count; journals without the field parse as 0.
   const JsonValue* shards = obj.Get("shards");
   header->shards =
       shards != nullptr && shards->is_number() ? shards->AsUint() : 0;
@@ -446,5 +444,11 @@ Result<JournalFile> ReadJournal(const std::string& path) {
 }
 
 #undef JOURNAL_RETURN_IF_ERROR
+
+bool StatsComparable(const JournalHeader& capture,
+                     const std::string& replay_algo) {
+  return capture.algo == replay_algo && capture.tree == "iur" &&
+         capture.shards == 0;
+}
 
 }  // namespace rst::obs

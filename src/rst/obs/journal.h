@@ -41,9 +41,10 @@ struct JournalHeader {
   double alpha = 0.5;
   uint64_t threads = 1;
   uint64_t sample_every = 1;
-  /// Shard count of the capturing index: 0 = single (unsharded) index, K > 0
-  /// = K-shard ShardedIndex. Parsed leniently (absent ⇒ 0) so journals from
-  /// before the field existed keep loading.
+  /// Shard count of the capturing index, read from captures made by the
+  /// removed sharded index (K > 0); absent ⇒ 0. Writers no longer emit it.
+  /// rst_replay always replays against one tree and, for K > 0, reports the
+  /// stats as not comparable.
   uint64_t shards = 0;
 };
 
@@ -146,6 +147,14 @@ struct JournalFile {
 /// line (torn write from a crash) is tolerated and counted; any other
 /// malformed line is an error.
 Result<JournalFile> ReadJournal(const std::string& path);
+
+/// Whether a replay with algorithm `replay_algo` ("probe" |
+/// "contribution_list") over a single unclustered IUR-tree reproduces the
+/// capture's per-query stats. Stats depend on the algorithm and the index
+/// shape — tree kind, and the forest of a sharded capture — but not on the
+/// thread count; answer digests depend on none of these.
+bool StatsComparable(const JournalHeader& capture,
+                     const std::string& replay_algo);
 
 }  // namespace rst::obs
 

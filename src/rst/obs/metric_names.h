@@ -56,11 +56,6 @@ inline constexpr char kJointTopkRuns[] = "joint_topk.runs";
 inline constexpr char kJointTopkScoredObjects[] = "joint_topk.scored_objects";
 inline constexpr char kJointTopkBaselineRuns[] = "joint_topk.baseline.runs";
 
-// --- sharded scatter-gather (rst::shard; DESIGN.md §15) ---
-inline constexpr char kShardPruned[] = "rstknn.shard.pruned";
-inline constexpr char kShardSearched[] = "rstknn.shard.searched";
-inline constexpr char kShardReported[] = "rstknn.shard.reported";
-
 // --- frozen flat-layout snapshot ---
 inline constexpr char kFrozenFreezes[] = "frozen.freezes";
 inline constexpr char kFrozenLoads[] = "frozen.loads";

@@ -41,7 +41,8 @@ RstknnStats& RstknnStats::Merge(const RstknnStats& other) {
 }
 
 RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
-                                    const RstknnOptions& options) const {
+                                    const RstknnOptions& options,
+                                    exec::ThreadPool* pool) const {
   using rstknn_internal::FrozenTreeView;
   using rstknn_internal::SearchContributionList;
   using rstknn_internal::SearchProbe;
@@ -76,7 +77,8 @@ RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
     result = options.algorithm == RstknnAlgorithm::kContributionList
                  ? SearchContributionList(view, *dataset_, *scorer_, query,
                                           options)
-                 : SearchProbe(view, *dataset_, *scorer_, query, options);
+                 : SearchProbe(view, *dataset_, *scorer_, query, options,
+                               pool);
   }
   // Phase histograms are per-query by nature, so they publish even when the
   // aggregate-publish path (publish_metrics == false) suppresses the per-

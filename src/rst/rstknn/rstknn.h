@@ -22,6 +22,10 @@ namespace frozen {
 class FrozenTree;
 }  // namespace frozen
 
+namespace exec {
+class ThreadPool;
+}  // namespace exec
+
 /// The Reverse Spatial-Textual k Nearest Neighbor query (SIGMOD 2011):
 /// given a query object q = (loc, doc), return every object o whose top-k
 /// most spatial-textually similar objects (among the rest of the collection)
@@ -51,7 +55,9 @@ enum class RstknnAlgorithm {
   kContributionList,
 };
 
-/// How the branch-and-bound picks the next entry to expand.
+/// How the contribution-list algorithm picks the next entry to decide. The
+/// probe algorithm decides its candidates level by level, and its answers
+/// and counters never depended on the order, so it ignores the policy.
 enum class ExpandPolicy {
   /// Best-first on the upper-bound similarity to q (the 2011 default).
   kBestFirst,
@@ -61,9 +67,9 @@ enum class ExpandPolicy {
   kTextEntropy,
 };
 
-/// Reusable per-thread working memory for RstknnSearcher: the query-path /
-/// charged-node hash sets and the per-candidate bound-memoization cache that
-/// the probes allocate. A searcher given a scratch clears it instead of
+/// Reusable per-thread working memory for RstknnSearcher: the query-path
+/// set, the per-node charged flags and the per-candidate bound-memoization
+/// cache that the probes allocate. A searcher given a scratch clears it instead of
 /// reallocating, so hash-table buckets survive across the queries of a batch.
 /// A ProbeScratch may be reused across queries but must never be shared by
 /// two concurrent queries — rst::exec::BatchRunner keeps one per worker.
@@ -171,8 +177,15 @@ class RstknnSearcher {
                  const StScorer* scorer)
       : tree_(tree), dataset_(dataset), scorer_(scorer) {}
 
+  /// Runs one query. With a `pool` of more than one thread, each round of
+  /// the probe algorithm fans its candidates out across the pool (DESIGN.md
+  /// §8.1); answers and every RstknnStats field equal the pool-less search.
+  /// A fanned-out search accepts a heatmap but rejects (RST_CHECK) explain,
+  /// trace, profiler and the real-I/O buffer pool. The contribution-list
+  /// algorithm always runs on the caller.
   RstknnResult Search(const RstknnQuery& query,
-                      const RstknnOptions& options = RstknnOptions()) const;
+                      const RstknnOptions& options = RstknnOptions(),
+                      exec::ThreadPool* pool = nullptr) const;
 
  private:
   const frozen::FrozenTree* tree_;

@@ -1,43 +1,38 @@
 #ifndef RST_RSTKNN_SEARCH_IMPL_H_
 #define RST_RSTKNN_SEARCH_IMPL_H_
 
-/// The templated branch-and-bound engine behind RstknnSearcher, shared by
-/// rstknn.cc (the frozen single-tree view) and rst::shard (forest views).
-/// Everything here is an implementation detail: include it only from .cc
-/// files that instantiate a search over a concrete tree view.
+/// The templated branch-and-bound engine behind RstknnSearcher. Everything
+/// here is an implementation detail of rstknn.cc.
 ///
-/// The tree-view abstraction: both RSTkNN algorithms are templates over a
-/// read-only view so the frozen flat-layout snapshot (rst::frozen) and the
-/// sharded forest of frozen trees (rst::shard) run the exact same code. A
-/// view names nodes and entries by a NodeRef/EntryRef (dense indices for the
-/// frozen tree, packed (shard, index) words for the forest) and exposes:
-///   * topology    — Root, NumEntries, EntryAt, Child, IsObject, Id, Count;
-///   * geometry    — RectOf;
-///   * text        — Summary / ClusterSummary as SummarySpan, which feed the
-///                   single span-kernel implementation of every similarity
-///                   bound;
-///   * keys        — NodeKey/EntryKey map refs to uintptr_t so one
-///                   ProbeScratch::Impl (hash sets/memos) serves all views;
-///   * I/O         — Charge (simulated or real through a buffer pool);
-///   * explain     — ExplainOf yielding the deterministic explain id/level;
-///   * scope hooks — ProbeRoot / CollectSelfPath / ForEachContextEntry,
-///                   which default to the single-tree behaviour and let a
-///                   shard-scoped view search one tree of a forest while
-///                   counting competitors forest-wide (DESIGN.md §15):
-///       - ProbeRoot() is where CountCompetitors starts its best-first
-///         descent (default: Root());
-///       - CollectSelfPath() collects the node-key set on the query object's
-///         root path (default: a descent from Root());
-///       - ForEachContextEntry() yields extra contributor-only entries that
-///         the contribution-list algorithm must account for but never report
-///         (default: none; the forest view yields one virtual entry per
-///         foreign shard).
-/// Entry iteration order is fixed by the layout, every queue receives the
-/// same insertion sequence, and the memo containers are never iterated — so
-/// results, RstknnStats, and EXPLAIN output are deterministic.
+/// Both RSTkNN algorithms are templates over a read-only tree view; the one
+/// view is FrozenTreeView over the flat-layout snapshot (rst::frozen). A
+/// view names nodes and entries by NodeRef/EntryRef (dense indices) and
+/// exposes:
+///   * topology — Root, NumNodes, NumEntries, EntryAt, Child, IsObject, Id,
+///                Count;
+///   * geometry — RectOf;
+///   * text     — Summary / ClusterSummary as SummarySpan, which feed the
+///                single span-kernel implementation of every similarity
+///                bound;
+///   * keys     — NodeKey/EntryKey map refs to uintptr_t for the memo
+///                containers of ProbeScratch::Impl; NodeKey also indexes the
+///                per-node flag array of charged nodes;
+///   * I/O      — Charge (simulated or real through a buffer pool);
+///   * explain  — ExplainOf yielding the deterministic explain id/level.
+///
+/// The probe algorithm is level-synchronous (DESIGN.md §8.1): each round
+/// decides every candidate of the current frontier against the immutable
+/// tree, and the next frontier is the expanded candidates' children in
+/// frontier order. A candidate's decision and its counters depend only on
+/// the candidate, so a round can fan out across a thread pool and the
+/// answers and RstknnStats are identical at any thread count. Entry
+/// iteration order is fixed by the layout and the memo containers are never
+/// iterated, so results, RstknnStats, and EXPLAIN output are deterministic.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <queue>
 #include <string>
@@ -48,6 +43,7 @@
 #include <vector>
 
 #include "rst/common/check.h"
+#include "rst/exec/thread_pool.h"
 #include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/obs/explain.h"
@@ -101,12 +97,14 @@ struct PairBoundsValue {
 /// to keep for as long as their scope allows: cand_bounds spans one
 /// candidate's two probes, pair_bounds spans one whole contribution-list
 /// query. clear() keeps hash-table buckets, which is the point of reuse.
-/// Nodes and entries are keyed by the view's uintptr_t keys (dense or packed
-/// indices), so the same scratch serves every tree view — never mix views
-/// within one query, which no searcher does.
+///
+/// self_path and charged are query scope: under fan-out every worker reads
+/// the calling thread's copy, while each worker decides its candidates in
+/// its own scratch (cand_bounds, self_tb).
 struct ProbeScratch::Impl {
   std::unordered_set<uintptr_t> self_path;
-  std::unordered_set<uintptr_t> charged;
+  /// One flag per tree node: set once the node's I/O is charged this query.
+  std::vector<uint8_t> charged;
   std::unordered_map<uintptr_t, rstknn_internal::CandPairBounds> cand_bounds;
   bool self_tb_valid = false;
   TextBounds self_tb;
@@ -115,15 +113,22 @@ struct ProbeScratch::Impl {
                      rstknn_internal::EntryPairKeyHash>
       pair_bounds;
 
-  void ResetForQuery() {
+  void ResetForQuery(size_t num_nodes) {
     self_path.clear();
-    charged.clear();
+    charged.assign(num_nodes, 0);
     pair_bounds.clear();
     ResetForCandidate();
   }
   void ResetForCandidate() {
     cand_bounds.clear();
     self_tb_valid = false;
+  }
+  /// True for exactly one caller per node and query, whichever worker
+  /// touches the node first. The load skips the exchange for nodes already
+  /// paid for, which is nearly every probe visit.
+  bool Claim(uintptr_t node) {
+    std::atomic_ref<uint8_t> flag(charged[node]);
+    return flag.load() == 0 && flag.exchange(1) == 0;
   }
 };
 
@@ -162,6 +167,7 @@ struct FrozenTreeView {
   const frozen::FrozenTree* tree = nullptr;
 
   size_t TreeSize() const { return tree->size(); }
+  size_t NumNodes() const { return tree->num_nodes(); }
   NodeRef Root() const { return tree->root(); }
   size_t NumEntries(NodeRef n) const { return tree->EntryCount(n); }
   EntryRef EntryAt(NodeRef n, size_t i) const {
@@ -183,14 +189,6 @@ struct FrozenTreeView {
 
   static uintptr_t NodeKey(NodeRef n) { return n; }
   static uintptr_t EntryKey(EntryRef e) { return e; }
-
-  /// Scope hooks (single-tree defaults; see the header comment).
-  NodeRef ProbeRoot() const { return Root(); }
-  void CollectSelfPath(ObjectId id, std::unordered_set<uintptr_t>* path) const {
-    CollectPath(*this, Root(), id, path);
-  }
-  template <typename Fn>
-  void ForEachContextEntry(Fn&&) const {}
 
   /// Charges one node access. In real-I/O mode (options.pool set) the node's
   /// serialized inverted file is read through the buffer pool — hits charge
@@ -303,7 +301,6 @@ struct Candidate {
   bool contains_self = false;  ///< subtree holds the query object
   double q_min = 0.0;          ///< MinST(q, E)
   double q_max = 0.0;          ///< MaxST(q, E)
-  double priority = 0.0;
 };
 
 template <typename View>
@@ -334,6 +331,9 @@ struct ExplainSink {
       recorder->SetAlgorithm(algorithm);
     }
   }
+  /// A fan-out worker's sink: its private heatmap only.
+  explicit ExplainSink(obs::HeatmapRecorder* worker_heatmap)
+      : heatmap(worker_heatmap) {}
 
   template <typename View>
   void Record(const View& view, typename View::EntryRef entry, double q_min,
@@ -351,6 +351,71 @@ struct ExplainSink {
   }
 };
 
+/// Query-scope inputs of every probe decision. Read-only during a round,
+/// except for the charged-node claims in `shared`, which are atomic.
+template <typename View>
+struct ProbeQuery {
+  const View& view;
+  const Dataset& dataset;
+  const StScorer& scorer;
+  const RstknnQuery& query;
+  const RstknnOptions& options;
+  SummarySpan qspan;
+  ProbeScratch::Impl* shared;  ///< self_path + charged (the caller's scratch)
+
+  /// Charges one node access the first time any worker opens the node this
+  /// query. The branch-and-bound keeps every opened node resident for the
+  /// whole query, so each node costs its I/O once however many probes
+  /// revisit it — and the charged set, hence RstknnStats::io, does not
+  /// depend on which worker got there first.
+  void ChargeOnce(typename View::NodeRef node, RstknnStats* stats) const {
+    if (shared->Claim(View::NodeKey(node))) view.Charge(node, options, stats);
+  }
+};
+
+/// One worker's private state in a probe search: its memo scratch, decision
+/// sink, counters and answers. Counters and answers are merged after the
+/// last round; integer sums and a final sort make the merge order-free.
+struct ProbeWorker {
+  ProbeScratch::Impl* mem = nullptr;
+  ExplainSink explain;
+  RstknnStats stats;
+  std::vector<ObjectId> answers;
+};
+
+/// Appends the candidate for entry `e` (with MinST/MaxST to q) to `out`.
+template <typename View>
+void AddCandidate(const ProbeQuery<View>& ctx, typename View::EntryRef e,
+                  std::vector<uintptr_t> path, RstknnStats* stats,
+                  std::vector<Candidate<View>>* out) {
+  const View& view = ctx.view;
+  const StScorer& scorer = ctx.scorer;
+  const RstknnQuery& query = ctx.query;
+  if (view.IsObject(e) && view.Id(e) == query.self) return;  // never a
+                                                             // candidate
+  Candidate<View> cand;
+  cand.entry = e;
+  cand.path = std::move(path);
+  if (view.IsObject(e)) {
+    const StObject& obj = ctx.dataset.object(view.Id(e));
+    cand.q_min = cand.q_max =
+        scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
+  } else {
+    const double alpha = scorer.options().alpha;
+    cand.contains_self =
+        ctx.shared->self_path.count(View::NodeKey(view.Child(e))) > 0;
+    const TextBounds tb =
+        ViewEntryTextBounds(view, e, ctx.qspan, scorer.text());
+    const Rect& rect = view.RectOf(e);
+    cand.q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
+                 (1.0 - alpha) * tb.min_sim;
+    cand.q_max = alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
+                 (1.0 - alpha) * tb.max_sim;
+  }
+  ++stats->entries_created;
+  out->push_back(std::move(cand));
+}
+
 /// Counts competitor objects of candidate E against `threshold`, stopping at
 /// k. In *guaranteed* mode (prune test, threshold = MaxST(q,E)) an object o'
 /// is counted only when every object of E is certainly more similar to o'
@@ -360,30 +425,24 @@ struct ExplainSink {
 /// exceed the threshold (pair MaxST > threshold). Traversal is best-first by
 /// pair MaxST, so it terminates as soon as no remaining subtree can matter —
 /// and for an object candidate in guaranteed mode the count is exact, which
-/// forces a decision at leaf level. The descent starts at view.ProbeRoot(),
-/// so a shard-scoped view counts competitors across the whole forest.
+/// forces a decision at leaf level. `mem` is the calling worker's scratch.
 template <typename View>
-size_t CountCompetitors(const View& view, const StScorer& scorer,
-                        const RstknnOptions& options,
+size_t CountCompetitors(const ProbeQuery<View>& ctx,
                         const Candidate<View>& cand, ProbeScratch::Impl* mem,
-                        double threshold, size_t k, ObjectId exclude,
-                        bool guaranteed, RstknnStats* stats) {
+                        double threshold, bool guaranteed,
+                        RstknnStats* stats) {
   using NodeRef = typename View::NodeRef;
-  const auto& exclude_path = mem->self_path;
+  const View& view = ctx.view;
+  const StScorer& scorer = ctx.scorer;
+  const size_t k = ctx.query.k;
+  const ObjectId exclude = ctx.query.self;
+  const auto& exclude_path = ctx.shared->self_path;
   const auto e = cand.entry;
   const Rect& e_rect = view.RectOf(e);
   const SummarySpan e_sum = view.Summary(e);
   const bool e_is_object = view.IsObject(e);
   const double alpha = scorer.options().alpha;
   ++stats->probes;
-  auto charge_once = [&](NodeRef node) {
-    // The branch-and-bound keeps every opened node resident for the whole
-    // query (the contribution lists reference them), so each node costs its
-    // I/O once per query regardless of how many probes revisit it.
-    if (mem->charged.insert(View::NodeKey(node)).second) {
-      view.Charge(node, options, stats);
-    }
-  };
 
   size_t count = 0;
   // Self term: the candidate's own other objects compete among themselves.
@@ -459,14 +518,14 @@ size_t CountCompetitors(const View& view, const StScorer& scorer,
     }
   };
   std::priority_queue<ProbeItem> pq;
-  pq.push({1.0, 0.0, view.ProbeRoot(), true});
+  pq.push({1.0, 0.0, view.Root(), true});
 
   while (!pq.empty()) {
     const ProbeItem item = pq.top();
     pq.pop();
     ++stats->pq_pops;
     if (item.max_st <= threshold) break;  // nothing left can matter
-    charge_once(item.node);
+    ctx.ChargeOnce(item.node, stats);
     for (size_t i = 0, n = view.NumEntries(item.node); i < n; ++i) {
       const auto child = view.EntryAt(item.node, i);
       if (view.IsObject(child)) {
@@ -496,25 +555,141 @@ size_t CountCompetitors(const View& view, const StScorer& scorer,
   return count;
 }
 
+/// Decides one candidate with its guaranteed (and, for nodes, potential)
+/// competitor probe: prune, report, or expand into `children`. Reads only
+/// the immutable tree and query scope, and writes only the worker's own
+/// state, so candidates of one round can be decided concurrently.
+template <typename View>
+void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
+                     ProbeWorker* w, std::vector<Candidate<View>>* children) {
+  using NodeRef = typename View::NodeRef;
+  const View& view = ctx.view;
+  obs::QueryTrace* trace = ctx.options.trace;
+  obs::PhaseProfiler* profiler = ctx.options.profiler;
+  RstknnStats& stats = w->stats;
+  ++stats.pq_pops;
+  const bool object = view.IsObject(cand.entry);
+  const uint32_t cand_count = view.Count(cand.entry);
+
+  // Prune test: at least k competitors are guaranteed to beat q for every
+  // object of the candidate (MaxST(q,E) < kNNL(E)).
+  w->mem->ResetForCandidate();
+  size_t guaranteed;
+  {
+    obs::TraceSpan span(trace, obs::names::kSpanProbeGuaranteed);
+    obs::PhaseTimer bounds_phase(profiler, obs::Phase::kBounds);
+    const uint64_t bounds_before = stats.bound_computations;
+    const uint64_t pops_before = stats.pq_pops;
+    guaranteed = CountCompetitors(ctx, cand, w->mem, cand.q_max,
+                                  /*guaranteed=*/true, &stats);
+    span.AddCount(obs::names::kCountBoundComputations,
+                  stats.bound_computations - bounds_before);
+    span.AddCount(obs::names::kCountPqPops, stats.pq_pops - pops_before);
+  }
+  if (guaranteed >= ctx.query.k) {
+    ++stats.pruned_entries;
+    w->explain.Record(view, cand.entry, cand.q_min, cand.q_max,
+                      object ? obs::ExplainVerdict::kReportMiss
+                             : obs::ExplainVerdict::kPrune,
+                      object ? obs::ExplainBound::kExact
+                             : obs::ExplainBound::kLowerBound,
+                      cand_count - (cand.contains_self ? 1 : 0));
+    return;
+  }
+  // For an object candidate the guaranteed probe descends every straddling
+  // subtree to exact object-object scores, so its count is exact: fewer
+  // than k competitors beat q ⇒ the object is an answer. No second probe.
+  if (object) {
+    ++stats.reported_entries;
+    w->explain.Record(view, cand.entry, cand.q_min, cand.q_max,
+                      obs::ExplainVerdict::kReportHit,
+                      obs::ExplainBound::kExact, 1);
+    w->answers.push_back(view.Id(cand.entry));
+    return;
+  }
+  // Report test: fewer than k competitors can possibly beat q for any
+  // object of the candidate (MinST(q,E) >= kNNU(E)).
+  size_t potential;
+  {
+    obs::TraceSpan span(trace, obs::names::kSpanProbePotential);
+    obs::PhaseTimer bounds_phase(profiler, obs::Phase::kBounds);
+    const uint64_t bounds_before = stats.bound_computations;
+    const uint64_t pops_before = stats.pq_pops;
+    potential = CountCompetitors(ctx, cand, w->mem, cand.q_min,
+                                 /*guaranteed=*/false, &stats);
+    span.AddCount(obs::names::kCountBoundComputations,
+                  stats.bound_computations - bounds_before);
+    span.AddCount(obs::names::kCountPqPops, stats.pq_pops - pops_before);
+  }
+  if (potential < ctx.query.k) {
+    ++stats.reported_entries;
+    w->explain.Record(view, cand.entry, cand.q_min, cand.q_max,
+                      obs::ExplainVerdict::kReportHit,
+                      obs::ExplainBound::kUpperBound,
+                      cand_count - (cand.contains_self ? 1 : 0));
+    CollectObjectIds(view, cand.entry, ctx.query.self, &w->answers);
+    return;
+  }
+  // Undecided: objects are always decided by the exact guaranteed count
+  // (bounds are tight at leaf level), so only nodes reach this point.
+  obs::TraceSpan expand_span(trace, obs::names::kSpanExpand);
+  obs::PhaseTimer descent_phase(profiler, obs::Phase::kDescent);
+  const NodeRef child_node = view.Child(cand.entry);
+  ctx.ChargeOnce(child_node, &stats);
+  ++stats.expansions;
+  w->explain.Record(view, cand.entry, cand.q_min, cand.q_max,
+                    obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone, 0);
+  std::vector<uintptr_t> child_path = cand.path;
+  child_path.push_back(View::NodeKey(child_node));
+  const size_t num_children = view.NumEntries(child_node);
+  for (size_t i = 0; i < num_children; ++i) {
+    AddCandidate(ctx, view.EntryAt(child_node, i), child_path, &stats,
+                 children);
+  }
+  expand_span.AddCount(obs::names::kCountEntries, num_children);
+}
+
+/// The probe algorithm's one driver. Each round decides every candidate of
+/// the frontier; the next frontier is the expanded candidates' children in
+/// frontier order. Without a pool (or with a 1-thread pool) rounds run
+/// inline on the caller. With more threads each round is one ParallelFor:
+/// worker w decides its candidates in its own scratch, counters and heatmap,
+/// and writes children into the slot of their parent's frontier index.
+/// Answers and every RstknnStats field equal the inline search (decisions
+/// are per-candidate and the charged set is order-free). EXPLAIN, traces,
+/// the phase profiler and the real-I/O buffer pool are single-threaded
+/// instruments, so a fanned-out search rejects them.
 template <typename View>
 RstknnResult SearchProbe(const View& view, const Dataset& dataset,
                          const StScorer& scorer, const RstknnQuery& query,
-                         const RstknnOptions& options) {
-  using NodeRef = typename View::NodeRef;
-  using EntryRef = typename View::EntryRef;
+                         const RstknnOptions& options,
+                         exec::ThreadPool* pool) {
   RstknnResult result;
   if (view.TreeSize() == 0 || query.k == 0) return result;
+  const size_t num_workers = pool != nullptr ? pool->num_threads() : 1;
+  if (num_workers > 1) {
+    RST_CHECK(options.explain == nullptr)
+        << "EXPLAIN records decisions in order on one thread; attach a "
+           "heatmap to a fanned-out search instead";
+    RST_CHECK(options.trace == nullptr)
+        << "query traces are single-threaded; unsupported with a "
+           "multi-thread pool";
+    RST_CHECK(options.profiler == nullptr)
+        << "the phase profiler is single-threaded; unsupported with a "
+           "multi-thread pool";
+    RST_CHECK(options.pool == nullptr)
+        << "the real-I/O buffer pool is single-threaded; unsupported with a "
+           "multi-thread pool";
+  }
   obs::QueryTrace* trace = options.trace;
   obs::PhaseProfiler* profiler = options.profiler;
   if (trace != nullptr) trace->Enter(obs::names::kSpanSetup);
   if (profiler != nullptr) profiler->Enter(obs::Phase::kDescent);
-  const ExplainSink explain(options, "probe");
-  const double alpha = scorer.options().alpha;
   const TextSummary qsum = TextSummary::FromDoc(*query.doc);
-  const SummarySpan qspan = AsSpan(qsum);
 
   // Working memory: reuse the caller's scratch (clearing keeps hash-table
-  // buckets warm across a batch) or allocate a query-local one.
+  // buckets warm across a batch) or allocate a query-local one. It holds the
+  // query-scope state and serves as worker 0's memo.
   std::unique_ptr<ProbeScratch> local_scratch;
   if (options.scratch == nullptr) {
     local_scratch = std::make_unique<ProbeScratch>();
@@ -522,157 +697,69 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
   ProbeScratch::Impl* mem =
       (options.scratch != nullptr ? options.scratch : local_scratch.get())
           ->impl();
-  mem->ResetForQuery();
-  std::unordered_set<uintptr_t>& self_path = mem->self_path;
+  mem->ResetForQuery(view.NumNodes());
   if (query.self != IurTree::kNoObject) {
-    view.CollectSelfPath(query.self, &self_path);
+    CollectPath(view, view.Root(), query.self, &mem->self_path);
   }
-  std::unordered_set<uintptr_t>& charged = mem->charged;  // nodes paid for
+  const ProbeQuery<View> ctx{view, dataset, scorer, query,
+                             options, AsSpan(qsum), mem};
 
-  // Candidates live in a deque-like pool; the work queue orders them by a
-  // static priority (upper-bound similarity to q, optionally biased by
-  // cluster entropy under the TE policy).
-  std::vector<std::unique_ptr<Candidate<View>>> pool;
-  struct QueueItem {
-    double priority;
-    Candidate<View>* cand;
-    bool operator<(const QueueItem& other) const {
-      return priority < other.priority;
+  std::vector<std::unique_ptr<ProbeScratch>> worker_scratch;
+  std::vector<std::unique_ptr<obs::HeatmapRecorder>> worker_heatmaps;
+  std::vector<ProbeWorker> workers;
+  workers.reserve(num_workers);
+  workers.push_back({mem, ExplainSink(options, "probe"), {}, {}});
+  for (size_t i = 1; i < num_workers; ++i) {
+    worker_scratch.push_back(std::make_unique<ProbeScratch>());
+    obs::HeatmapRecorder* heatmap = nullptr;
+    if (options.heatmap != nullptr) {
+      worker_heatmaps.push_back(std::make_unique<obs::HeatmapRecorder>());
+      heatmap = worker_heatmaps.back().get();
     }
-  };
-  std::priority_queue<QueueItem> work;
+    workers.push_back(
+        {worker_scratch.back()->impl(), ExplainSink(heatmap), {}, {}});
+  }
 
-  auto add_candidate = [&](EntryRef e, std::vector<uintptr_t> path) {
-    if (view.IsObject(e) && view.Id(e) == query.self) return;  // never a
-                                                               // candidate
-    auto cand = std::make_unique<Candidate<View>>();
-    cand->entry = e;
-    cand->path = std::move(path);
-    if (view.IsObject(e)) {
-      const StObject& obj = dataset.object(view.Id(e));
-      cand->q_min = cand->q_max =
-          scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
-    } else {
-      cand->contains_self =
-          self_path.count(View::NodeKey(view.Child(e))) > 0;
-      const TextBounds tb = ViewEntryTextBounds(view, e, qspan, scorer.text());
-      const Rect& rect = view.RectOf(e);
-      cand->q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
-                    (1.0 - alpha) * tb.min_sim;
-      cand->q_max = alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
-                    (1.0 - alpha) * tb.max_sim;
-    }
-    cand->priority = cand->q_max;
-    if (options.expand == ExpandPolicy::kTextEntropy) {
-      cand->priority += options.entropy_weight * ViewClusterEntropy(view, e);
-    }
-    ++result.stats.entries_created;
-    work.push({cand->priority, cand.get()});
-    pool.push_back(std::move(cand));
-  };
-
-  const NodeRef root = view.Root();
-  charged.insert(View::NodeKey(root));
-  view.Charge(root, options, &result.stats);
+  std::vector<Candidate<View>> frontier;
+  std::vector<Candidate<View>> next;
+  const auto root = view.Root();
+  ctx.ChargeOnce(root, &workers[0].stats);
   for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
-    add_candidate(view.EntryAt(root, i), {View::NodeKey(root)});
+    AddCandidate(ctx, view.EntryAt(root, i), {View::NodeKey(root)},
+                 &workers[0].stats, &frontier);
   }
   if (profiler != nullptr) profiler->Exit();  // descent (setup)
   if (trace != nullptr) trace->Exit();  // setup
 
-  while (!work.empty()) {
-    Candidate<View>* cand = work.top().cand;
-    work.pop();
-    ++result.stats.pq_pops;
-    const bool object = view.IsObject(cand->entry);
-    const uint32_t cand_count = view.Count(cand->entry);
-
-    // Prune test: at least k competitors are guaranteed to beat q for every
-    // object of the candidate (MaxST(q,E) < kNNL(E)).
-    mem->ResetForCandidate();
-    size_t guaranteed;
-    {
-      obs::TraceSpan span(trace, obs::names::kSpanProbeGuaranteed);
-      obs::PhaseTimer bounds_phase(profiler, obs::Phase::kBounds);
-      const uint64_t bounds_before = result.stats.bound_computations;
-      const uint64_t pops_before = result.stats.pq_pops;
-      guaranteed = CountCompetitors(view, scorer, options, *cand, mem,
-                                    cand->q_max, query.k, query.self,
-                                    /*guaranteed=*/true, &result.stats);
-      span.AddCount(obs::names::kCountBoundComputations,
-                    result.stats.bound_computations - bounds_before);
-      span.AddCount(obs::names::kCountPqPops, result.stats.pq_pops - pops_before);
+  std::vector<std::vector<Candidate<View>>> slots;
+  while (!frontier.empty()) {
+    next.clear();
+    if (num_workers == 1 || frontier.size() == 1) {
+      for (const Candidate<View>& cand : frontier) {
+        DecideCandidate(ctx, cand, &workers[0], &next);
+      }
+    } else {
+      slots.assign(frontier.size(), {});
+      pool->ParallelFor(frontier.size(), 1, [&](size_t i, size_t w) {
+        DecideCandidate(ctx, frontier[i], &workers[w], &slots[i]);
+      });
+      for (std::vector<Candidate<View>>& children : slots) {
+        std::move(children.begin(), children.end(), std::back_inserter(next));
+      }
     }
-    if (guaranteed >= query.k) {
-      ++result.stats.pruned_entries;
-      explain.Record(view, cand->entry, cand->q_min, cand->q_max,
-                     object ? obs::ExplainVerdict::kReportMiss
-                            : obs::ExplainVerdict::kPrune,
-                     object ? obs::ExplainBound::kExact
-                            : obs::ExplainBound::kLowerBound,
-                     cand_count - (cand->contains_self ? 1 : 0));
-      continue;
-    }
-    // For an object candidate the guaranteed probe descends every straddling
-    // subtree to exact object-object scores, so its count is exact: fewer
-    // than k competitors beat q ⇒ the object is an answer. No second probe.
-    if (object) {
-      ++result.stats.reported_entries;
-      explain.Record(view, cand->entry, cand->q_min, cand->q_max,
-                     obs::ExplainVerdict::kReportHit, obs::ExplainBound::kExact,
-                     1);
-      result.answers.push_back(view.Id(cand->entry));
-      continue;
-    }
-    // Report test: fewer than k competitors can possibly beat q for any
-    // object of the candidate (MinST(q,E) >= kNNU(E)).
-    size_t potential;
-    {
-      obs::TraceSpan span(trace, obs::names::kSpanProbePotential);
-      obs::PhaseTimer bounds_phase(profiler, obs::Phase::kBounds);
-      const uint64_t bounds_before = result.stats.bound_computations;
-      const uint64_t pops_before = result.stats.pq_pops;
-      potential = CountCompetitors(view, scorer, options, *cand, mem,
-                                   cand->q_min, query.k, query.self,
-                                   /*guaranteed=*/false, &result.stats);
-      span.AddCount(obs::names::kCountBoundComputations,
-                    result.stats.bound_computations - bounds_before);
-      span.AddCount(obs::names::kCountPqPops, result.stats.pq_pops - pops_before);
-    }
-    if (potential < query.k) {
-      ++result.stats.reported_entries;
-      explain.Record(view, cand->entry, cand->q_min, cand->q_max,
-                     obs::ExplainVerdict::kReportHit,
-                     obs::ExplainBound::kUpperBound,
-                     cand_count - (cand->contains_self ? 1 : 0));
-      CollectObjectIds(view, cand->entry, query.self, &result.answers);
-      continue;
-    }
-    // Undecided: objects are always decided by the exact guaranteed count
-    // (bounds are tight at leaf level), so only nodes reach this point.
-    RST_DCHECK(!object);
-    obs::TraceSpan expand_span(trace, obs::names::kSpanExpand);
-    obs::PhaseTimer descent_phase(profiler, obs::Phase::kDescent);
-    const NodeRef child_node = view.Child(cand->entry);
-    if (charged.insert(View::NodeKey(child_node)).second) {
-      view.Charge(child_node, options, &result.stats);
-    }
-    ++result.stats.expansions;
-    explain.Record(view, cand->entry, cand->q_min, cand->q_max,
-                   obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone, 0);
-    std::vector<uintptr_t> child_path = cand->path;
-    child_path.push_back(View::NodeKey(child_node));
-    const size_t num_children = view.NumEntries(child_node);
-    for (size_t i = 0; i < num_children; ++i) {
-      add_candidate(view.EntryAt(child_node, i), child_path);
-    }
-    expand_span.AddCount(obs::names::kCountEntries, num_children);
+    frontier.swap(next);
   }
 
   {
     obs::PhaseTimer finalize_phase(profiler, obs::Phase::kFinalize);
+    for (ProbeWorker& w : workers) {
+      result.stats.Merge(w.stats);
+      result.answers.insert(result.answers.end(), w.answers.begin(),
+                            w.answers.end());
+    }
     std::sort(result.answers.begin(), result.answers.end());
   }
+  for (const auto& heatmap : worker_heatmaps) options.heatmap->Merge(*heatmap);
   return result;
 }
 
@@ -719,12 +806,11 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   ProbeScratch::Impl* mem =
       (options.scratch != nullptr ? options.scratch : local_scratch.get())
           ->impl();
-  mem->ResetForQuery();
+  mem->ResetForQuery(view.NumNodes());
   std::unordered_set<uintptr_t>& self_path = mem->self_path;
   if (query.self != IurTree::kNoObject) {
-    view.CollectSelfPath(query.self, &self_path);
+    CollectPath(view, view.Root(), query.self, &self_path);
   }
-  std::unordered_set<uintptr_t>& charged = mem->charged;
 
   enum class State { kUndecided, kPruned, kReported };
   struct FlatEntry {
@@ -769,7 +855,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
     FlatEntry& fe = entries[idx];
     const State inherited = fe.state;
     const NodeRef child_node = view.Child(fe.entry);
-    if (charged.insert(View::NodeKey(child_node)).second) {
+    if (mem->Claim(View::NodeKey(child_node))) {
       view.Charge(child_node, options, &result.stats);
     }
     fe.alive = false;
@@ -805,16 +891,11 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   };
 
   const NodeRef root = view.Root();
-  charged.insert(View::NodeKey(root));
+  mem->Claim(View::NodeKey(root));
   view.Charge(root, options, &result.stats);
   for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
     add_entry(view.EntryAt(root, i), State::kUndecided);
   }
-  // Foreign-scope contributors (sharded search): pre-decided entries that
-  // compete in every contribution list but are never picked, reported, or
-  // counted as answers here — their shard's own search decides them.
-  view.ForEachContextEntry(
-      [&](EntryRef e) { add_entry(e, State::kPruned); });
 
   auto capacity = [&](const FlatEntry& fe) -> uint32_t {
     const uint32_t n = view.Count(fe.entry);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "rst/common/file_util.h"
+#include "rst/data/csv.h"
 #include "rst/data/generators.h"
 #include "rst/exec/batch_runner.h"
 #include "rst/exec/thread_pool.h"
@@ -449,6 +450,71 @@ TEST(ReplayMatrixTest, HeatmapNodesIdenticalAcrossThreads) {
   for (const auto& [key, json] : heatmaps) {
     EXPECT_EQ(json, heatmaps.begin()->second) << key;
   }
+}
+
+// Replays a checked-in journal fixture in-process against one frozen IUR-tree
+// (as rst_replay does) and returns the number of answer-digest mismatches.
+size_t ReplayFixtureDigestMismatches(const obs::JournalFile& journal) {
+  const std::string root = RST_SOURCE_DIR;
+  Result<Dataset> data = LoadDatasetIds(root + "/" + journal.header.data,
+                                       {Weighting::kTfIdf, 0.1});
+  EXPECT_TRUE(data.ok()) << data.status().ToString();
+  if (!data.ok()) return journal.records.size();
+  const Dataset& dataset = data.value();
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
+  TextSimilarity sim(TextMeasure::kExtendedJaccard, &dataset.corpus_max());
+  const StScorer scorer(&sim, {journal.header.alpha, dataset.max_dist()});
+  const RstknnSearcher searcher(&tree, &dataset, &scorer);
+  RstknnOptions options;
+  options.publish_metrics = false;
+  size_t mismatches = 0;
+  for (const obs::JournalQueryRecord& r : journal.records) {
+    const StObject& q = dataset.object(static_cast<ObjectId>(r.self));
+    const RstknnResult result =
+        searcher.Search({q.loc, &q.doc, r.k, q.id}, options);
+    if (obs::AnswerDigest(result.answers) != r.answer_digest) ++mismatches;
+  }
+  return mismatches;
+}
+
+// A capture from the removed sharded index (header "shards": 4; six
+// self-queries at k = 5 on 2 threads) still loads and replays against the
+// one tree: answers do not depend on the index shape, so every digest
+// matches, while its stats describe a forest and are not comparable.
+TEST(ReplayFixtureTest, ShardedCaptureReplaysOnOneTree) {
+  const Result<obs::JournalFile> loaded = obs::ReadJournal(
+      std::string(RST_SOURCE_DIR) + "/tests/fixtures/journals/shard4.jsonl");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const obs::JournalFile& journal = loaded.value();
+  EXPECT_EQ(journal.header.shards, 4u);
+  ASSERT_EQ(journal.records.size(), 6u);
+  EXPECT_FALSE(obs::StatsComparable(journal.header, journal.header.algo));
+  EXPECT_EQ(ReplayFixtureDigestMismatches(journal), 0u);
+}
+
+// A journal without the "shards" field parses as a single-index capture whose
+// stats are comparable; writers no longer emit the field.
+TEST(ReplayFixtureTest, UnshardedCaptureStatsStayComparable) {
+  const Result<obs::JournalFile> loaded = obs::ReadJournal(
+      std::string(RST_SOURCE_DIR) + "/tests/fixtures/journals/smoke.jsonl");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().header.shards, 0u);
+  EXPECT_TRUE(obs::StatsComparable(loaded.value().header, "probe"));
+  EXPECT_FALSE(
+      obs::StatsComparable(loaded.value().header, "contribution_list"));
+  EXPECT_EQ(ReplayFixtureDigestMismatches(loaded.value()), 0u);
+
+  obs::JournalHeader header = loaded.value().header;
+  header.shards = 4;
+  const std::string path = TempPath("rst_replay_no_shards.jsonl");
+  obs::WorkloadRecorder journal;
+  ASSERT_TRUE(journal.Open(path, header).ok());
+  ASSERT_TRUE(journal.Close().ok());
+  const Result<std::string> written = ReadFileToString(path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(written.value().find("shards"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 // captures that say "pointer" replay identically).
 //
 //   rst_replay --journal FILE [--data FILE] [--algo probe|cl|journal]
-//              [--shards K|journal] [--threads N] [--report FILE]
-//              [--heatmap-out FILE] [--max-diffs N]
+//              [--threads N] [--report FILE] [--heatmap-out FILE]
+//              [--max-diffs N]
 //
 //   --journal FILE   the JSONL capture to replay (required)
 //   --data FILE      dataset TSV (default: the journal header's data path)
@@ -17,14 +17,13 @@
 //                    and therefore digests — are independent of the
 //                    algorithm by the equality contract; stats are only
 //                    compared when the replay algorithm matches the capture
-//   --shards         replay against a K-shard ShardedIndex (default: journal
-//                    = the capture's shard count; 0 = single index). Digests
-//                    must still match — the answer set is independent of the
-//                    partitioning; stats are only compared when the replay
-//                    shard count matches the capture's
-//   --threads N      replay through exec::BatchRunner with N workers
+//   --threads N      replay through exec::BatchRunner with N >= 1 workers
 //                    (default 1 = serial RstknnSearcher loop); digests are
 //                    identical at any thread count
+//
+// Captures from the removed sharded index (header "shards" > 0) replay
+// against the one tree: digests must still match — the answer set does not
+// depend on the index shape — while their stats are reported n/a.
 //   --report FILE    write the per-query diff report as JSON
 //   --heatmap-out    write the replay's accumulated heatmap JSON
 //   --max-diffs N    cap per-query diff lines on stderr (default 10)
@@ -42,7 +41,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,15 +49,12 @@
 #include "rst/common/stopwatch.h"
 #include "rst/data/csv.h"
 #include "rst/exec/batch_runner.h"
-#include "rst/exec/sharded_runner.h"
 #include "rst/exec/thread_pool.h"
 #include "rst/frozen/frozen.h"
 #include "rst/obs/heatmap.h"
 #include "rst/obs/journal.h"
 #include "rst/obs/json.h"
 #include "rst/rstknn/rstknn.h"
-#include "rst/shard/sharded_index.h"
-#include "rst/shard/sharded_search.h"
 
 namespace rst {
 namespace {
@@ -68,7 +63,6 @@ struct ReplayFlags {
   std::string journal;
   std::string data;
   std::string algo = "journal";
-  std::string shards = "journal";
   size_t threads = 1;
   std::string report;
   std::string heatmap_out;
@@ -79,9 +73,8 @@ int Usage() {
   std::fprintf(stderr,
                "usage: rst_replay --journal FILE [--data FILE]\n"
                "                  [--algo probe|cl|journal]\n"
-               "                  [--shards K|journal] [--threads N]\n"
-               "                  [--report FILE] [--heatmap-out FILE]\n"
-               "                  [--max-diffs N]\n"
+               "                  [--threads N] [--report FILE]\n"
+               "                  [--heatmap-out FILE] [--max-diffs N]\n"
                "(see the header of tools/rst_replay.cc)\n");
   return 2;
 }
@@ -103,11 +96,14 @@ bool ParseFlags(int argc, char** argv, ReplayFlags* flags) {
       flags->data = value;
     } else if (name == "--algo") {
       flags->algo = value;
-    } else if (name == "--shards") {
-      flags->shards = value;
     } else if (name == "--threads") {
-      flags->threads = static_cast<size_t>(
-          std::max(1L, std::strtol(value.c_str(), nullptr, 10)));
+      const long threads = std::strtol(value.c_str(), nullptr, 10);
+      if (threads < 1) {
+        std::fprintf(stderr, "--threads must be at least 1 (got %s)\n",
+                     value.c_str());
+        return false;
+      }
+      flags->threads = static_cast<size_t>(threads);
     } else if (name == "--report") {
       flags->report = value;
     } else if (name == "--heatmap-out") {
@@ -226,32 +222,13 @@ int Main(int argc, char** argv) {
           : (flags.algo == "cl" || flags.algo == "contribution-list"
                  ? "contribution_list"
                  : "probe");
-  const uint64_t shards =
-      flags.shards == "journal"
-          ? journal.header.shards
-          : static_cast<uint64_t>(
-                std::max(0L, std::strtol(flags.shards.c_str(), nullptr, 10)));
-  const bool use_sharded = shards > 0;
   const RstknnAlgorithm algo = algo_name == "contribution_list"
                                    ? RstknnAlgorithm::kContributionList
                                    : RstknnAlgorithm::kProbe;
-  // Stats depend on the algorithm and the index shape — tree kind and shard
-  // partitioning, but not the thread count; digests depend on none of
-  // these.
-  const bool stats_comparable = algo_name == journal.header.algo &&
-                                journal.header.tree == "iur" &&
-                                shards == journal.header.shards;
-
-  std::optional<frozen::FrozenTree> frozen;
-  std::optional<shard::ShardedIndex> sharded;
-  if (use_sharded) {
-    shard::ShardOptions shard_options;
-    shard_options.num_shards = static_cast<size_t>(shards);
-    sharded.emplace(shard::ShardedIndex::Build(dataset, shard_options));
-  } else {
-    frozen.emplace(
-        frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {})));
-  }
+  const bool stats_comparable =
+      obs::StatsComparable(journal.header, algo_name);
+  const frozen::FrozenTree frozen =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
 
   TextSimilarity sim(MeasureFromHeader(journal.header),
                      &dataset.corpus_max());
@@ -294,24 +271,8 @@ int Main(int argc, char** argv) {
   std::vector<RstknnResult> results;
   RstknnStats total;
   Stopwatch wall;
-  if (use_sharded && flags.threads <= 1) {
-    const shard::ShardedSearcher searcher(&*sharded, &dataset, &scorer);
-    ProbeScratch scratch;
-    options.scratch = &scratch;
-    options.publish_metrics = false;
-    results.reserve(n);
-    for (const RstknnQuery& q : queries) {
-      shard::ShardedResult res = searcher.Search(q, options);
-      results.push_back(RstknnResult{std::move(res.answers), res.stats});
-    }
-    heatmap.AddQueries(n);
-  } else if (use_sharded) {
-    exec::ThreadPool pool(flags.threads);
-    exec::ShardedBatchRunner runner(&*sharded, &dataset, &scorer, &pool);
-    runner.set_heatmap(&heatmap);
-    results = runner.RunRstknn(queries, options);
-  } else if (flags.threads <= 1) {
-    const RstknnSearcher searcher(&*frozen, &dataset, &scorer);
+  if (flags.threads <= 1) {
+    const RstknnSearcher searcher(&frozen, &dataset, &scorer);
     ProbeScratch scratch;
     options.scratch = &scratch;
     options.publish_metrics = false;
@@ -322,7 +283,7 @@ int Main(int argc, char** argv) {
     heatmap.AddQueries(n);
   } else {
     exec::ThreadPool pool(flags.threads);
-    exec::BatchRunner runner(&*frozen, &dataset, &scorer, &pool);
+    exec::BatchRunner runner(&frozen, &dataset, &scorer, &pool);
     runner.set_heatmap(&heatmap);
     results = runner.RunRstknn(queries, options);
   }
@@ -399,11 +360,8 @@ int Main(int argc, char** argv) {
   }
 
   // --- aggregate analytics ---
-  const std::string index_desc =
-      use_sharded ? std::to_string(shards) + " shards" : "single index";
-  std::printf("replayed %zu queries (%s, %s, %zu threads) in %.2f ms\n",
-              n, algo_name.c_str(), index_desc.c_str(), flags.threads,
-              wall_ms);
+  std::printf("replayed %zu queries (%s, %zu threads) in %.2f ms\n", n,
+              algo_name.c_str(), flags.threads, wall_ms);
   std::printf("digest mismatches: %zu/%zu\n", digest_mismatches, n);
   if (stats_comparable) {
     std::printf("stats mismatches:  %zu/%zu\n", stats_mismatches, n);
@@ -513,8 +471,6 @@ int Main(int argc, char** argv) {
     w.BeginObject();
     w.Key("algo");
     w.String(algo_name);
-    w.Key("shards");
-    w.Uint(shards);
     w.Key("threads");
     w.Uint(flags.threads);
     w.Key("stats_comparable");

@@ -10,9 +10,9 @@
 //                       snapshot (rst::frozen) and answers over the snapshot;
 //                       batch mode: --ids "3 5 7" [--threads N] evaluates
 //                       the listed query objects through the rst::exec
-//                       BatchRunner (N concurrent workers, default 1) and
-//                       prints "<query_id>\t<answer_id>" per answer; results
-//                       are identical to running each id serially.
+//                       BatchRunner (N >= 1 concurrent workers, default 1)
+//                       and prints "<query_id>\t<answer_id>" per answer;
+//                       results are identical to running each id serially.
 //   rstknn_cli maxbrst  --data F --users F2 --locations "x:y;x:y"
 //                       --keywords "1 2 3" --ws W --k K [--method exact]
 //
@@ -37,26 +37,12 @@
 //   --load-index FILE   answer over a previously saved snapshot instead of
 //                       rebuilding the tree (--data must still name the
 //                       dataset the index was built from)
-//   --build-threads N   worker threads for the STR bulk-load slab sorts
-//                       (default 1; any N produces the identical tree)
+//   --build-threads N   worker threads (N >= 1) for the STR bulk-load slab
+//                       sorts (default 1; any N produces the identical tree)
 //   --check-invariants  run the deep structural validation (DESIGN.md §11.2)
 //                       over the index before answering — summary domination,
 //                       tight MBRs, level leaves, cluster partitions; exits
 //                       non-zero with the precise violation on corruption
-//
-// Sharded-index flags (rstknn only; DESIGN.md §15):
-//   --shards K          partition the dataset into K spatial shards (STR
-//                       tiling), bulk-build one frozen tree per shard and
-//                       answer by scatter-gather — results byte-identical to
-//                       a single index at any K; rstknn.shard.* counters
-//                       report the whole-shard triage. --save-index /
-//                       --load-index then name a snapshot DIRECTORY
-//                       (MANIFEST + shard_<i>.frz); --check-invariants
-//                       validates every shard plus the partition itself.
-//                       Incompatible with --explain (exit 2) and the
-//                       real-I/O buffer pool (--metrics-out still snapshots
-//                       the registry); batch mode ignores --slow-log-ms,
-//                       --profile and --trace-out with a stderr note.
 //
 // Profiling flags (rstknn; DESIGN.md §12):
 //   --profile           attribute each query's wall time into the fixed phase
@@ -117,7 +103,6 @@
 #include "rst/data/csv.h"
 #include "rst/data/generators.h"
 #include "rst/exec/batch_runner.h"
-#include "rst/exec/sharded_runner.h"
 #include "rst/frozen/frozen.h"
 #include "rst/maxbrst/maxbrst.h"
 #include "rst/obs/explain.h"
@@ -132,8 +117,6 @@
 #include "rst/obs/trace.h"
 #include "rst/obs/trace_event.h"
 #include "rst/rstknn/rstknn.h"
-#include "rst/shard/sharded_index.h"
-#include "rst/shard/sharded_search.h"
 
 namespace rst {
 namespace {
@@ -175,6 +158,19 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Reads a worker-count flag (absent = 1). A count below 1 prints the usage
+/// error and yields nullopt; the caller exits 2.
+std::optional<size_t> GetThreadCount(const Flags& flags,
+                                     const std::string& name) {
+  const long n = flags.GetInt(name, 1);
+  if (n < 1) {
+    std::fprintf(stderr, "--%s must be at least 1 (got %s)\n", name.c_str(),
+                 flags.Get(name, "").c_str());
+    return std::nullopt;
+  }
+  return static_cast<size_t>(n);
+}
 
 std::vector<TermId> ParseTerms(const std::string& s) {
   std::vector<TermId> out;
@@ -339,22 +335,21 @@ RstknnAlgorithm ParseAlgorithm(const Flags& flags) {
 /// CLI's own flag vocabulary.
 obs::JournalHeader MakeJournalHeader(const Flags& flags,
                                      const std::string& label,
-                                     uint64_t threads, uint64_t sample_every,
-                                     uint64_t shards = 0) {
+                                     uint64_t threads,
+                                     uint64_t sample_every) {
   obs::JournalHeader header;
   header.label = label;
   header.data = flags.Get("data", "objects.csv");
   header.algo = ParseAlgorithm(flags) == RstknnAlgorithm::kContributionList
                     ? "contribution_list"
                     : "probe";
-  header.view = "frozen";  // every search runs over frozen trees
+  header.view = "frozen";  // every search runs over a frozen tree
   header.tree = "iur";  // the CLI builds an unclustered IUR-tree
   header.measure = flags.Get("measure", "ej");
   header.weighting = flags.Get("weighting", "tfidf");
   header.alpha = flags.GetDouble("alpha", 0.5);
   header.threads = threads;
   header.sample_every = sample_every;
-  header.shards = shards;
   return header;
 }
 
@@ -546,9 +541,8 @@ int CmdTopK(const Flags& flags) {
 /// BatchRunner. Traces are single-threaded by design, so --trace only
 /// annotates the artifact with the batch, not per-query spans.
 int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
-                   const frozen::FrozenTree* frozen,
-                   const shard::ShardedIndex* sharded, const StScorer& scorer,
-                   obs::RuntimeSampler* sampler) {
+                   const frozen::FrozenTree* frozen, const StScorer& scorer,
+                   size_t threads, obs::RuntimeSampler* sampler) {
   std::vector<ObjectId> ids;
   for (TermId t : ParseTerms(flags.Get("ids", ""))) {
     ids.push_back(static_cast<ObjectId>(t));
@@ -572,59 +566,34 @@ int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
   const ObsFlags obs_flags(flags);
   RstknnOptions options;
   options.algorithm = ParseAlgorithm(flags);
-  std::optional<BufferPool> pool;
-  if (sharded == nullptr) {
-    pool.emplace(&frozen->page_store(), obs_flags.pool_pages);
-    if (!obs_flags.metrics_out.empty()) options.pool = &*pool;
-  } else if (obs_flags.slow_logging() || obs_flags.profile ||
-             !obs_flags.trace_out.empty()) {
-    // Per-tree instruments don't compose with the scatter-gather runner (see
-    // ShardedBatchRunner); the run still proceeds so scripted pipelines that
-    // always pass them keep working against sharded indexes.
-    std::fprintf(stderr,
-                 "note: --slow-log-ms/--profile/--trace-out are ignored in "
-                 "sharded batch mode\n");
-  }
+  BufferPool pool(&frozen->page_store(), obs_flags.pool_pages);
+  if (!obs_flags.metrics_out.empty()) options.pool = &pool;
 
-  const size_t threads = static_cast<size_t>(flags.GetInt("threads", 1));
   exec::ThreadPool thread_pool(threads);
   exec::BatchRunner runner(frozen, &dataset, &scorer, &thread_pool);
-  exec::ShardedBatchRunner sharded_runner(sharded, &dataset, &scorer,
-                                          &thread_pool);
   obs::SlowQueryLog slow_log(obs_flags.slow_log_ms);
   obs::TraceEventWriter trace_events(/*capacity=*/1 << 16,
                                      obs_flags.trace_sample);
-  if (sharded == nullptr) {
-    if (obs_flags.slow_logging()) runner.set_slow_log(&slow_log);
-    if (obs_flags.profile) runner.set_profiling(true);
-    if (!obs_flags.trace_out.empty()) runner.set_trace_events(&trace_events);
-  }
+  if (obs_flags.slow_logging()) runner.set_slow_log(&slow_log);
+  if (obs_flags.profile) runner.set_profiling(true);
+  if (!obs_flags.trace_out.empty()) runner.set_trace_events(&trace_events);
   obs::WorkloadRecorder journal;
   if (!obs_flags.journal_out.empty()) {
     const Status s = journal.Open(
         obs_flags.journal_out,
         MakeJournalHeader(flags, "rstknn.batch", thread_pool.num_threads(),
-                          obs_flags.journal_sample,
-                          sharded != nullptr ? sharded->num_shards() : 0));
+                          obs_flags.journal_sample));
     if (!s.ok()) {
       std::fprintf(stderr, "--journal-out: %s\n", s.ToString().c_str());
       return 1;
     }
     runner.set_journal(&journal);
-    sharded_runner.set_journal(&journal);
   }
   obs::HeatmapRecorder heatmap;
-  if (!obs_flags.heatmap_out.empty()) {
-    runner.set_heatmap(&heatmap);
-    sharded_runner.set_heatmap(&heatmap);
-  }
+  if (!obs_flags.heatmap_out.empty()) runner.set_heatmap(&heatmap);
   exec::BatchStats batch_stats;
-  shard::ShardedStats shard_stats;
   const std::vector<RstknnResult> results =
-      sharded != nullptr
-          ? sharded_runner.RunRstknn(queries, options, &batch_stats,
-                                     &shard_stats)
-          : runner.RunRstknn(queries, options, &batch_stats);
+      runner.RunRstknn(queries, options, &batch_stats);
 
   for (size_t i = 0; i < results.size(); ++i) {
     for (ObjectId id : results[i].answers) {
@@ -641,22 +610,13 @@ int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
                busy_ms,
                static_cast<unsigned long long>(
                    batch_stats.total.io.TotalIos()));
-  if (sharded != nullptr) {
-    std::fprintf(stderr,
-                 "shard triage: %llu pruned, %llu reported, %llu searched "
-                 "(of %zu shards x %zu queries)\n",
-                 static_cast<unsigned long long>(shard_stats.shards_pruned),
-                 static_cast<unsigned long long>(shard_stats.shards_reported),
-                 static_cast<unsigned long long>(shard_stats.shards_searched),
-                 sharded->num_shards(), queries.size());
-  }
   if (options.pool != nullptr) {
     std::fprintf(stderr, "buffer pool: %llu hits, %llu misses, %llu evictions "
                  "(%.1f%% hit rate)\n",
-                 static_cast<unsigned long long>(pool->hits()),
-                 static_cast<unsigned long long>(pool->misses()),
-                 static_cast<unsigned long long>(pool->evictions()),
-                 100.0 * pool->hit_rate());
+                 static_cast<unsigned long long>(pool.hits()),
+                 static_cast<unsigned long long>(pool.misses()),
+                 static_cast<unsigned long long>(pool.evictions()),
+                 100.0 * pool.hit_rate());
   }
   if (obs_flags.slow_logging()) {
     std::fprintf(stderr, "slow-query log: %llu captured over %.2f ms "
@@ -684,6 +644,10 @@ int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
 }
 
 int CmdRstknn(const Flags& flags) {
+  const std::optional<size_t> threads = GetThreadCount(flags, "threads");
+  const std::optional<size_t> build_threads =
+      GetThreadCount(flags, "build-threads");
+  if (!threads.has_value() || !build_threads.has_value()) return 2;
   auto data = LoadData(flags);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
@@ -697,50 +661,16 @@ int CmdRstknn(const Flags& flags) {
   // Runtime telemetry starts before the index build so the runtime.* gauges
   // cover the build's memory growth, not just the queries.
   const ObsFlags obs_flags(flags);
-  const size_t num_shards =
-      static_cast<size_t>(std::max(0L, flags.GetInt("shards", 0)));
-  const bool use_sharded = num_shards > 0;
-  if (use_sharded && obs_flags.explain) {
-    std::fprintf(stderr,
-                 "--explain is unsupported with --shards (the per-shard "
-                 "searches would reset the recorder); use --heatmap-out\n");
-    return 2;
-  }
   obs::RuntimeSampler sampler;
   if (obs_flags.telemetry_ms >= 0) {
     sampler.Start(static_cast<uint64_t>(obs_flags.telemetry_ms));
   }
 
   // Index setup: build the IUR-tree and freeze it, or load a previously
-  // saved frozen snapshot and skip the build entirely. With --shards the
-  // index is a directory of frozen shard trees instead.
-  const bool load_index = flags.Has("load-index");
-  const bool save_index = flags.Has("save-index");
+  // saved frozen snapshot and skip the build entirely.
   std::optional<IurTree> tree;
   std::optional<frozen::FrozenTree> frozen;
-  std::optional<shard::ShardedIndex> sharded;
-  if (use_sharded) {
-    if (load_index) {
-      // The on-disk MANIFEST carries the shard count; --shards just selects
-      // the sharded loader.
-      Result<shard::ShardedIndex> loaded =
-          shard::ShardedIndex::LoadDir(flags.Get("load-index", ""));
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "--load-index: %s\n",
-                     loaded.status().ToString().c_str());
-        return 1;
-      }
-      sharded.emplace(std::move(loaded.value()));
-    } else {
-      shard::ShardOptions shard_options;
-      shard_options.num_shards = num_shards;
-      exec::ThreadPool build_pool(
-          static_cast<size_t>(flags.GetInt("build-threads", 1)));
-      sharded.emplace(shard::ShardedIndex::Build(dataset, shard_options,
-                                                 /*cluster_of=*/nullptr,
-                                                 &build_pool));
-    }
-  } else if (load_index) {
+  if (flags.Has("load-index")) {
     Result<frozen::FrozenTree> loaded =
         frozen::FrozenTree::Load(flags.Get("load-index", ""));
     if (!loaded.ok()) {
@@ -751,8 +681,7 @@ int CmdRstknn(const Flags& flags) {
     frozen.emplace(std::move(loaded.value()));
   } else {
     IurTreeOptions tree_options;
-    tree_options.build_threads =
-        static_cast<size_t>(flags.GetInt("build-threads", 1));
+    tree_options.build_threads = *build_threads;
     tree.emplace(IurTree::BuildFromDataset(dataset, tree_options));
     frozen.emplace(frozen::FrozenTree::Freeze(*tree));
   }
@@ -762,18 +691,13 @@ int CmdRstknn(const Flags& flags) {
   // precise violation so scripted runs can gate on it.
   if (flags.Has("check-invariants")) {
     Status invariants = Status::Ok();
-    if (sharded.has_value()) {
-      invariants = sharded->CheckInvariants();
-    }
-    if (invariants.ok() && tree.has_value()) {
+    if (tree.has_value()) {
       invariants = tree->CheckInvariants(
           [&dataset](uint32_t oid) -> const TermVector* {
             return oid < dataset.size() ? &dataset.object(oid).doc : nullptr;
           });
     }
-    if (invariants.ok() && frozen.has_value()) {
-      invariants = frozen->CheckInvariants();
-    }
+    if (invariants.ok()) invariants = frozen->CheckInvariants();
     if (!invariants.ok()) {
       std::fprintf(stderr, "--check-invariants: %s\n",
                    invariants.ToString().c_str());
@@ -781,39 +705,26 @@ int CmdRstknn(const Flags& flags) {
     }
     std::fprintf(stderr, "--check-invariants: index ok\n");
   }
-  if (save_index) {
+  if (flags.Has("save-index")) {
     const std::string path = flags.Get("save-index", "");
-    if (use_sharded) {
-      const Status s = sharded->SaveDir(path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "--save-index: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::fprintf(stderr,
-                   "sharded index (%zu shards, %llu objects) written to %s/\n",
-                   sharded->num_shards(),
-                   static_cast<unsigned long long>(sharded->size()),
-                   path.c_str());
-    } else {
-      const Status s = frozen->Save(path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "--save-index: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::fprintf(stderr,
-                   "frozen index (%u nodes, %u entries, %llu payload bytes) "
-                   "written to %s\n",
-                   frozen->num_nodes(), frozen->num_entries(),
-                   static_cast<unsigned long long>(frozen->IndexBytes()),
-                   path.c_str());
+    const Status s = frozen->Save(path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "--save-index: %s\n", s.ToString().c_str());
+      return 1;
     }
+    std::fprintf(stderr,
+                 "frozen index (%u nodes, %u entries, %llu payload bytes) "
+                 "written to %s\n",
+                 frozen->num_nodes(), frozen->num_entries(),
+                 static_cast<unsigned long long>(frozen->IndexBytes()),
+                 path.c_str());
     if (!flags.Has("id") && !flags.Has("ids") && !flags.Has("keywords")) {
       return 0;  // save-only invocation
     }
   }
   if (flags.Has("ids")) {
-    return CmdRstknnBatch(flags, dataset, frozen ? &*frozen : nullptr,
-                          sharded ? &*sharded : nullptr, scorer, &sampler);
+    return CmdRstknnBatch(flags, dataset, &*frozen, scorer, *threads,
+                          &sampler);
   }
 
   RstknnQuery query;
@@ -839,21 +750,17 @@ int CmdRstknn(const Flags& flags) {
   options.algorithm = ParseAlgorithm(flags);
   // With a metrics artifact requested, switch to real I/O through a buffer
   // pool so the reported hit/miss/fill metrics are genuine reads of the
-  // serialized index rather than simulated charges. Sharded mode has no
-  // single page store, so it stays on simulated charges.
-  std::optional<BufferPool> pool;
-  if (!use_sharded) {
-    pool.emplace(&frozen->page_store(), obs_flags.pool_pages);
-  }
+  // serialized index rather than simulated charges.
+  BufferPool pool(&frozen->page_store(), obs_flags.pool_pages);
   if (obs_flags.tracing() || obs_flags.slow_logging()) {
     options.trace = &trace;
   }
   obs::PhaseProfiler profiler;
   if (obs_flags.profile) options.profiler = &profiler;
-  if (!obs_flags.metrics_out.empty() && pool.has_value()) {
-    pool->set_trace(options.trace);
-    pool->set_phase_profiler(options.profiler);
-    options.pool = &*pool;
+  if (!obs_flags.metrics_out.empty()) {
+    pool.set_trace(options.trace);
+    pool.set_phase_profiler(options.profiler);
+    options.pool = &pool;
   }
   obs::ExplainRecorder recorder(obs_flags.explain_log);
   if (obs_flags.explain) options.explain = &recorder;
@@ -864,19 +771,8 @@ int CmdRstknn(const Flags& flags) {
                                      obs_flags.trace_sample);
   const double query_start_us = trace_events.NowUs();
   Stopwatch timer;
-  RstknnResult result;
-  shard::ShardedStats shard_stats;
-  if (use_sharded) {
-    const shard::ShardedSearcher sharded_searcher(&*sharded, &dataset,
-                                                  &scorer);
-    shard::ShardedResult res = sharded_searcher.Search(query, options);
-    result.answers = std::move(res.answers);
-    result.stats = res.stats;
-    shard_stats = res.shards;
-  } else {
-    const RstknnSearcher searcher(&*frozen, &dataset, &scorer);
-    result = searcher.Search(query, options);
-  }
+  const RstknnSearcher searcher(&*frozen, &dataset, &scorer);
+  const RstknnResult result = searcher.Search(query, options);
   const double ms = timer.ElapsedMillis();
   if (obs_flags.profile) {
     std::fprintf(stderr, "per-phase attribution (of %.2f ms wall):\n%s",
@@ -905,8 +801,7 @@ int CmdRstknn(const Flags& flags) {
     const Status s = journal.Open(
         obs_flags.journal_out,
         MakeJournalHeader(flags, "rstknn", /*threads=*/1,
-                          obs_flags.journal_sample,
-                          use_sharded ? sharded->num_shards() : 0));
+                          obs_flags.journal_sample));
     if (!s.ok()) {
       std::fprintf(stderr, "--journal-out: %s\n", s.ToString().c_str());
       return 1;
@@ -948,22 +843,13 @@ int CmdRstknn(const Flags& flags) {
                static_cast<unsigned long long>(result.stats.entries_created),
                static_cast<unsigned long long>(result.stats.pruned_entries),
                static_cast<unsigned long long>(result.stats.io.TotalIos()));
-  if (use_sharded) {
-    std::fprintf(stderr,
-                 "shard triage: %llu pruned, %llu reported, %llu searched "
-                 "(of %zu shards)\n",
-                 static_cast<unsigned long long>(shard_stats.shards_pruned),
-                 static_cast<unsigned long long>(shard_stats.shards_reported),
-                 static_cast<unsigned long long>(shard_stats.shards_searched),
-                 sharded->num_shards());
-  }
   if (options.pool != nullptr) {
     std::fprintf(stderr, "buffer pool: %llu hits, %llu misses, %llu evictions "
                  "(%.1f%% hit rate)\n",
-                 static_cast<unsigned long long>(pool->hits()),
-                 static_cast<unsigned long long>(pool->misses()),
-                 static_cast<unsigned long long>(pool->evictions()),
-                 100.0 * pool->hit_rate());
+                 static_cast<unsigned long long>(pool.hits()),
+                 static_cast<unsigned long long>(pool.misses()),
+                 static_cast<unsigned long long>(pool.evictions()),
+                 100.0 * pool.hit_rate());
   }
   sampler.Stop();  // final runtime sample lands in the snapshot below
   return EmitObsArtifacts(obs_flags, "rstknn", &trace,
