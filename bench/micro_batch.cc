@@ -124,39 +124,31 @@ bool RunFanoutSeries(std::vector<Measurement>* series, size_t* objects,
     m.threads = threads;
     std::vector<double> latencies;
     bool mismatch = false;
-    // Each series runs on a fresh thread, which glibc gives its own malloc
-    // arena. Otherwise the 1-thread row would run on the main thread, whose
-    // arena generating and building the corpus left fragmented: serial
-    // search there measured 1.7x slower at a million objects, while the
-    // pool workers of the other rows allocate from fresh arenas.
-    std::thread series_thread([&] {
-      rst::exec::ThreadPool pool(threads);
-      for (size_t rep = 0; rep < rst::bench::Reps(); ++rep) {
-        m.answers = 0;
-        for (size_t qi = 0; qi < queries.size() && !mismatch; ++qi) {
-          rst::RstknnOptions options;
-          options.publish_metrics = false;
-          rst::Stopwatch timer;
-          rst::RstknnResult r = searcher.Search(queries[qi], options, &pool);
-          latencies.push_back(timer.ElapsedMillis());
-          m.wall_ms += latencies.back();
-          m.answers += r.answers.size();
-          if (reference.size() < queries.size()) {
-            reference.push_back(std::move(r));
-          } else if (r.answers != reference[qi].answers ||
-                     r.stats.bound_computations !=
-                         reference[qi].stats.bound_computations ||
-                     r.stats.io.node_reads !=
-                         reference[qi].stats.io.node_reads) {
-            std::fprintf(stderr,
-                         "fanout mismatch: query %zu at %zu threads\n", qi,
-                         threads);
-            mismatch = true;
-          }
+    rst::exec::ThreadPool pool(threads);
+    for (size_t rep = 0; rep < rst::bench::Reps(); ++rep) {
+      m.answers = 0;
+      for (size_t qi = 0; qi < queries.size() && !mismatch; ++qi) {
+        rst::RstknnOptions options;
+        options.publish_metrics = false;
+        rst::Stopwatch timer;
+        rst::RstknnResult r = searcher.Search(queries[qi], options, &pool);
+        latencies.push_back(timer.ElapsedMillis());
+        m.wall_ms += latencies.back();
+        m.answers += r.answers.size();
+        if (reference.size() < queries.size()) {
+          reference.push_back(std::move(r));
+        } else if (r.answers != reference[qi].answers ||
+                   r.stats.bound_computations !=
+                       reference[qi].stats.bound_computations ||
+                   r.stats.io.node_reads !=
+                       reference[qi].stats.io.node_reads) {
+          std::fprintf(stderr,
+                       "fanout mismatch: query %zu at %zu threads\n", qi,
+                       threads);
+          mismatch = true;
         }
       }
-    });
-    series_thread.join();
+    }
     if (mismatch) return false;
     m.wall_ms /= static_cast<double>(rst::bench::Reps());
     m.p50_ms = Median(latencies);

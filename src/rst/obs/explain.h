@@ -25,7 +25,7 @@ enum class ExplainVerdict : uint8_t {
 enum class ExplainBound : uint8_t {
   kNone = 0,        ///< no bound fired (expansion)
   kLowerBound = 1,  ///< the kNNL-side prune test (k-th guaranteed competitor)
-  kUpperBound = 2,  ///< the kNNU-side report test (k-th potential competitor)
+  kUpperBound = 2,  ///< the kNNU-side wholesale report (contribution list)
   kExact = 3,       ///< exact leaf-level competitor count (object candidates)
 };
 

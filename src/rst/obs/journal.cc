@@ -122,7 +122,7 @@ void AppendHeaderJson(JsonWriter* w, const JournalHeader& h) {
   w->Key("type");
   w->String("header");
   w->Key("version");
-  w->Uint(1);
+  w->Uint(kJournalVersion);
   w->Key("label");
   w->String(h.label);
   w->Key("data");
@@ -224,6 +224,9 @@ Status ReadDouble(const JsonValue& obj, const char* key, double* out) {
 }
 
 Status ParseHeader(const JsonValue& obj, JournalHeader* header) {
+  const JsonValue* version = obj.Get("version");
+  header->version =
+      version != nullptr && version->is_number() ? version->AsUint() : 1;
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "label", &header->label));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "data", &header->data));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "algo", &header->algo));
@@ -232,6 +235,9 @@ Status ParseHeader(const JsonValue& obj, JournalHeader* header) {
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "measure", &header->measure));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "weighting", &header->weighting));
   JOURNAL_RETURN_IF_ERROR(ReadDouble(obj, "alpha", &header->alpha));
+  if (!(header->alpha >= 0.0 && header->alpha <= 1.0)) {
+    return Status::InvalidArgument("journal: alpha must be in [0, 1]");
+  }
   JOURNAL_RETURN_IF_ERROR(ReadUint(obj, "threads", &header->threads));
   JOURNAL_RETURN_IF_ERROR(ReadUint(obj, "sample_every", &header->sample_every));
   if (header->sample_every == 0) header->sample_every = 1;
@@ -447,8 +453,8 @@ Result<JournalFile> ReadJournal(const std::string& path) {
 
 bool StatsComparable(const JournalHeader& capture,
                      const std::string& replay_algo) {
-  return capture.algo == replay_algo && capture.tree == "iur" &&
-         capture.shards == 0;
+  return capture.version >= 2 && capture.algo == replay_algo &&
+         capture.tree == "iur" && capture.shards == 0;
 }
 
 }  // namespace rst::obs

@@ -28,9 +28,17 @@ uint64_t AnswerDigest(const std::vector<uint32_t>& ids);
 /// kernel dispatch and build flavor that produced them.
 void AppendProvenanceJson(JsonWriter* writer);
 
+/// Journal format version written by WorkloadRecorder. Version 2 marks
+/// captures whose per-query stats come from the budgeted node probes;
+/// version 1 counters came from the earlier node-probe rule.
+inline constexpr uint64_t kJournalVersion = 2;
+
 /// First line of a workload journal: the capture context replay needs to
 /// reconstruct the index and scorer, plus provenance.
 struct JournalHeader {
+  /// Format version of a parsed capture (absent ⇒ 1). Writers always emit
+  /// kJournalVersion.
+  uint64_t version = kJournalVersion;
   std::string label;      ///< "rstknn", "rstknn.batch", "load_driver", ...
   std::string data;       ///< dataset path ("" if not materialized)
   std::string algo;       ///< "probe" | "contribution_list"
@@ -150,9 +158,11 @@ Result<JournalFile> ReadJournal(const std::string& path);
 
 /// Whether a replay with algorithm `replay_algo` ("probe" |
 /// "contribution_list") over a single unclustered IUR-tree reproduces the
-/// capture's per-query stats. Stats depend on the algorithm and the index
-/// shape — tree kind, and the forest of a sharded capture — but not on the
-/// thread count; answer digests depend on none of these.
+/// capture's per-query stats. Stats depend on the algorithm, the index
+/// shape — tree kind, and the forest of a sharded capture — and the version
+/// of the search that counted them (captures before version 2 are not
+/// comparable), but not on the thread count; answer digests depend on none
+/// of these.
 bool StatsComparable(const JournalHeader& capture,
                      const std::string& replay_algo);
 

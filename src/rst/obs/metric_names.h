@@ -176,7 +176,6 @@ inline constexpr char kSpanSetup[] = "setup";
 inline constexpr char kSpanExpand[] = "expand";
 inline constexpr char kSpanPick[] = "pick";
 inline constexpr char kSpanProbeGuaranteed[] = "probe.guaranteed";
-inline constexpr char kSpanProbePotential[] = "probe.potential";
 inline constexpr char kSpanContributions[] = "contributions";
 inline constexpr char kSpanRstknnProbe[] = "rstknn.probe";
 inline constexpr char kSpanRstknnContributionList[] =

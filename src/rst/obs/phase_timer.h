@@ -35,7 +35,7 @@ class JsonWriter;
 
 /// The fixed attribution buckets. Mapping from algorithm steps (DESIGN.md
 /// §12.1): kDescent = entry setup + node expansion + candidate pick,
-/// kBounds = competitor probes (guaranteed/potential) and their bound
+/// kBounds = competitor probes and their bound
 /// kernels, kMerge = contribution-list build + k-th selection (the 2011
 /// literal algorithm), kIo = node payload reads through a BufferPool,
 /// kFinalize = answer collection + final sort.

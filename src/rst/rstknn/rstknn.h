@@ -68,9 +68,9 @@ enum class ExpandPolicy {
 };
 
 /// Reusable per-thread working memory for RstknnSearcher: the query-path
-/// set, the per-node charged flags and the per-candidate bound-memoization
-/// cache that the probes allocate. A searcher given a scratch clears it instead of
-/// reallocating, so hash-table buckets survive across the queries of a batch.
+/// set, the per-node charged flags and the contribution-list pair memo. A
+/// searcher given a scratch clears it instead of reallocating, so hash-table
+/// buckets survive across the queries of a batch.
 /// A ProbeScratch may be reused across queries but must never be shared by
 /// two concurrent queries — rst::exec::BatchRunner keeps one per worker.
 class ProbeScratch {
@@ -95,7 +95,7 @@ struct RstknnOptions {
   /// Weight of the entropy term under kTextEntropy.
   double entropy_weight = 0.25;
   /// Optional query trace: the search records per-phase spans (setup,
-  /// probe.guaranteed, probe.potential, expand, ...) with counter deltas.
+  /// probe.guaranteed, expand, ...) with counter deltas.
   /// Null (the default) costs one branch per phase.
   obs::QueryTrace* trace = nullptr;
   /// Optional per-phase latency attribution (DESIGN.md §12): Search() resets
@@ -142,7 +142,9 @@ struct RstknnStats {
   uint64_t entries_created = 0;   ///< search entries materialized
   uint64_t expansions = 0;        ///< node expansions performed
   uint64_t pruned_entries = 0;    ///< subtrees pruned without expansion
-  uint64_t reported_entries = 0;  ///< subtrees reported wholesale
+  /// Entries reported as answers: objects, plus whole subtrees under the
+  /// contribution-list algorithm (the probe algorithm never reports a node).
+  uint64_t reported_entries = 0;
   uint64_t bound_computations = 0;
   uint64_t probes = 0;            ///< leaf-level competitor probes
   uint64_t pq_pops = 0;           ///< priority-queue pops across all probes
@@ -161,11 +163,12 @@ struct RstknnResult {
   RstknnStats stats;
 };
 
-/// Branch-and-bound RSTkNN over an IUR-/CIUR-tree (DESIGN.md §3.2): every
-/// live entry is simultaneously a candidate and a contributor; candidates are
-/// pruned when MaxST(q,E) < kNNL(E), reported when MinST(q,E) >= kNNU(E),
-/// and expanded otherwise. kNNL/kNNU come from contribution lists over the
-/// live entry set.
+/// Branch-and-bound RSTkNN over an IUR-/CIUR-tree (DESIGN.md §3.2):
+/// candidates are pruned when MaxST(q,E) < kNNL(E), reported when
+/// MinST(q,E) >= kNNU(E), and expanded otherwise. The contribution-list
+/// algorithm reads kNNL/kNNU off sorted lists over the live entry set; the
+/// probe algorithm runs only the prune test per candidate, reports objects by
+/// their exact competitor count and expands every node it cannot prune.
 ///
 /// The search runs over a frozen flat-layout snapshot (rst::frozen): build or
 /// update an IurTree, call frozen::FrozenTree::Freeze, and search the

@@ -14,19 +14,24 @@
 ///   * text     — Summary / ClusterSummary as SummarySpan, which feed the
 ///                single span-kernel implementation of every similarity
 ///                bound;
-///   * keys     — NodeKey/EntryKey map refs to uintptr_t for the memo
-///                containers of ProbeScratch::Impl; NodeKey also indexes the
-///                per-node flag array of charged nodes;
+///   * keys     — NodeKey/EntryKey map refs to uintptr_t for the query-path
+///                set and the contribution-list pair memo of
+///                ProbeScratch::Impl; NodeKey also indexes the per-node flag
+///                array of charged nodes;
 ///   * I/O      — Charge (simulated or real through a buffer pool);
 ///   * explain  — ExplainOf yielding the deterministic explain id/level.
 ///
-/// The probe algorithm is level-synchronous (DESIGN.md §8.1): each round
-/// decides every candidate of the current frontier against the immutable
-/// tree, and the next frontier is the expanded candidates' children in
-/// frontier order. A candidate's decision and its counters depend only on
-/// the candidate, so a round can fan out across a thread pool and the
-/// answers and RstknnStats are identical at any thread count. Entry
-/// iteration order is fixed by the layout and the memo containers are never
+/// The probe algorithm decides each candidate with one competitor probe
+/// (DESIGN.md §3.2): prune when k competitors are guaranteed to beat q,
+/// else report an object (its count is exact) or expand a node. Nodes are
+/// never reported wholesale, so a node's probe is capped at ⌈Count(E)/2⌉
+/// bound computations. The search is level-synchronous (DESIGN.md §8.1):
+/// each round decides every candidate of the current frontier against the
+/// immutable tree, and the next frontier is the expanded candidates'
+/// children in frontier order. A candidate's decision and its counters
+/// depend only on the candidate, so a round can fan out across a thread pool
+/// and the answers and RstknnStats are identical at any thread count. Entry
+/// iteration order is fixed by the layout and the hash containers are never
 /// iterated, so results, RstknnStats, and EXPLAIN output are deterministic.
 
 #include <algorithm>
@@ -57,20 +62,6 @@
 namespace rst {
 namespace rstknn_internal {
 
-/// Memoized blended bounds of (candidate, other) for one candidate's two
-/// probes. The spatial legs are kept so a later lazy cluster refinement can
-/// recombine them with tighter text bounds. Refined bounds are strictly
-/// tighter and remain valid brackets, so reusing them across the guaranteed
-/// and potential probes never changes answers — only the redundant kernel
-/// evaluations disappear.
-struct CandPairBounds {
-  double spatial_min = 0.0;
-  double spatial_max = 0.0;
-  double mn = 0.0;
-  double mx = 0.0;
-  bool refined = false;
-};
-
 /// Key/hash for the contribution-list pair memo (ordered entry-key pair).
 struct EntryPairKey {
   uintptr_t a = 0;
@@ -92,22 +83,17 @@ struct PairBoundsValue {
 
 }  // namespace rstknn_internal
 
-/// The working memory behind the public ProbeScratch handle. Entry pair
-/// bounds are pure functions of immutable tree entries, so the memos are safe
-/// to keep for as long as their scope allows: cand_bounds spans one
-/// candidate's two probes, pair_bounds spans one whole contribution-list
-/// query. clear() keeps hash-table buckets, which is the point of reuse.
-///
-/// self_path and charged are query scope: under fan-out every worker reads
-/// the calling thread's copy, while each worker decides its candidates in
-/// its own scratch (cand_bounds, self_tb).
+/// The working memory behind the public ProbeScratch handle, all of query
+/// scope. self_path (the query object's root path) and charged are read by
+/// every fan-out worker through the calling thread's scratch; pair_bounds is
+/// the contribution-list algorithm's pair memo, which spans one whole query
+/// because each pick recomputes its list against every live entry. The probe
+/// algorithm keeps no memo: one probe per candidate examines each entry at
+/// most once. clear() keeps hash-table buckets, which is the point of reuse.
 struct ProbeScratch::Impl {
   std::unordered_set<uintptr_t> self_path;
   /// One flag per tree node: set once the node's I/O is charged this query.
   std::vector<uint8_t> charged;
-  std::unordered_map<uintptr_t, rstknn_internal::CandPairBounds> cand_bounds;
-  bool self_tb_valid = false;
-  TextBounds self_tb;
   std::unordered_map<rstknn_internal::EntryPairKey,
                      rstknn_internal::PairBoundsValue,
                      rstknn_internal::EntryPairKeyHash>
@@ -117,11 +103,6 @@ struct ProbeScratch::Impl {
     self_path.clear();
     charged.assign(num_nodes, 0);
     pair_bounds.clear();
-    ResetForCandidate();
-  }
-  void ResetForCandidate() {
-    cand_bounds.clear();
-    self_tb_valid = false;
   }
   /// True for exactly one caller per node and query, whichever worker
   /// touches the node first. The load skips the exchange for nodes already
@@ -373,11 +354,10 @@ struct ProbeQuery {
   }
 };
 
-/// One worker's private state in a probe search: its memo scratch, decision
-/// sink, counters and answers. Counters and answers are merged after the
-/// last round; integer sums and a final sort make the merge order-free.
+/// One worker's private state in a probe search: its decision sink,
+/// counters and answers. Counters and answers are merged after the last
+/// round; integer sums and a final sort make the merge order-free.
 struct ProbeWorker {
-  ProbeScratch::Impl* mem = nullptr;
   ExplainSink explain;
   RstknnStats stats;
   std::vector<ObjectId> answers;
@@ -416,20 +396,18 @@ void AddCandidate(const ProbeQuery<View>& ctx, typename View::EntryRef e,
   out->push_back(std::move(cand));
 }
 
-/// Counts competitor objects of candidate E against `threshold`, stopping at
-/// k. In *guaranteed* mode (prune test, threshold = MaxST(q,E)) an object o'
-/// is counted only when every object of E is certainly more similar to o'
-/// than to q: pair MinST(E, o') > threshold; disjoint subtrees whose MinST
-/// already clears the threshold are counted wholesale. In *potential* mode
-/// (report test, threshold = MinST(q,E)) an object is counted when it COULD
-/// exceed the threshold (pair MaxST > threshold). Traversal is best-first by
-/// pair MaxST, so it terminates as soon as no remaining subtree can matter —
-/// and for an object candidate in guaranteed mode the count is exact, which
-/// forces a decision at leaf level. `mem` is the calling worker's scratch.
+/// Counts competitor objects guaranteed to beat q for every object of
+/// candidate E, stopping at k: an object o' counts when pair MinST(E, o')
+/// exceeds the threshold MaxST(q,E), and a disjoint subtree whose MinST
+/// already clears the threshold counts wholesale. Traversal is best-first by
+/// pair MaxST, so it ends as soon as no remaining subtree can matter; for an
+/// object candidate the count is then exact, which forces a decision at leaf
+/// level. The probe stops early once it has spent `budget` bound
+/// computations (checked before each pop); the partial count is still a lower
+/// bound on the true one, which is all the prune test needs.
 template <typename View>
 size_t CountCompetitors(const ProbeQuery<View>& ctx,
-                        const Candidate<View>& cand, ProbeScratch::Impl* mem,
-                        double threshold, bool guaranteed,
+                        const Candidate<View>& cand, uint64_t budget,
                         RstknnStats* stats) {
   using NodeRef = typename View::NodeRef;
   const View& view = ctx.view;
@@ -442,25 +420,18 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
   const SummarySpan e_sum = view.Summary(e);
   const bool e_is_object = view.IsObject(e);
   const double alpha = scorer.options().alpha;
+  const double threshold = cand.q_max;
+  const uint64_t bounds_before = stats->bound_computations;
   ++stats->probes;
 
   size_t count = 0;
   // Self term: the candidate's own other objects compete among themselves.
-  // The pair text bounds are threshold-independent, so the potential probe
-  // reuses what the guaranteed probe computed.
   uint32_t own = view.Count(e) - (cand.contains_self ? 1 : 0);
   if (own > 1) {
-    if (!mem->self_tb_valid) {
-      mem->self_tb = ViewPairTextBounds(view, e, e, scorer.text());
-      mem->self_tb_valid = true;
-      ++stats->bound_computations;
-    }
-    const TextBounds& tb = mem->self_tb;
-    const double intra =
-        guaranteed
-            ? alpha * scorer.SpatialSim(MaxDistance(e_rect, e_rect)) +
-                  (1.0 - alpha) * tb.min_sim
-            : alpha * 1.0 + (1.0 - alpha) * tb.max_sim;
+    const TextBounds tb = ViewPairTextBounds(view, e, e, scorer.text());
+    ++stats->bound_computations;
+    const double intra = alpha * scorer.SpatialSim(MaxDistance(e_rect, e_rect)) +
+                         (1.0 - alpha) * tb.min_sim;
     if (intra > threshold) {
       count += own - 1;
       if (count >= k) return k;
@@ -470,34 +441,27 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
   // Pair bounds with lazy cluster refinement: the cheap blended-summary
   // bound decides most entries outright; per-cluster bounds (up to
   // |clusters|^2 kernel evaluations) are computed only when the blended
-  // bound straddles the threshold and could change the outcome. Results are
-  // memoized per candidate (keyed by the other entry) so the potential probe
-  // reuses the guaranteed probe's kernels; a pair refined once stays refined
-  // — tighter bounds are still valid brackets at the other threshold.
+  // bound straddles the threshold and could change the outcome.
   auto pair_bounds = [&](typename View::EntryRef other) {
-    auto [it, inserted] = mem->cand_bounds.try_emplace(View::EntryKey(other));
-    CandPairBounds& cb = it->second;
     const Rect& other_rect = view.RectOf(other);
-    if (inserted) {
-      cb.spatial_min = alpha * scorer.SpatialSim(MaxDistance(e_rect, other_rect));
-      cb.spatial_max = alpha * scorer.SpatialSim(MinDistance(e_rect, other_rect));
-      ++stats->bound_computations;
-      const SummarySpan other_sum = view.Summary(other);
-      cb.mn = cb.spatial_min +
-              (1.0 - alpha) * scorer.text().MinSim(e_sum, other_sum);
-      cb.mx = cb.spatial_max +
-              (1.0 - alpha) * scorer.text().MaxSim(e_sum, other_sum);
-    }
-    if (!cb.refined && view.NumClusters(other) > 0 && cb.mn <= threshold &&
-        cb.mx > threshold) {
+    const double spatial_min =
+        alpha * scorer.SpatialSim(MaxDistance(e_rect, other_rect));
+    const double spatial_max =
+        alpha * scorer.SpatialSim(MinDistance(e_rect, other_rect));
+    ++stats->bound_computations;
+    const SummarySpan other_sum = view.Summary(other);
+    double mn = spatial_min +
+                (1.0 - alpha) * scorer.text().MinSim(e_sum, other_sum);
+    double mx = spatial_max +
+                (1.0 - alpha) * scorer.text().MaxSim(e_sum, other_sum);
+    if (view.NumClusters(other) > 0 && mn <= threshold && mx > threshold) {
       const TextBounds tb =
           ViewBoundsVsClusters(view, e_sum, other, scorer.text());
       ++stats->bound_computations;
-      cb.mn = cb.spatial_min + (1.0 - alpha) * tb.min_sim;
-      cb.mx = cb.spatial_max + (1.0 - alpha) * tb.max_sim;
-      cb.refined = true;
+      mn = spatial_min + (1.0 - alpha) * tb.min_sim;
+      mx = spatial_max + (1.0 - alpha) * tb.max_sim;
     }
-    return std::make_pair(cb.mn, cb.mx);
+    return std::make_pair(mn, mx);
   };
 
   auto is_own_subtree = [&](NodeRef node) {
@@ -521,6 +485,7 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
   pq.push({1.0, 0.0, view.Root(), true});
 
   while (!pq.empty()) {
+    if (stats->bound_computations - bounds_before >= budget) break;
     const ProbeItem item = pq.top();
     pq.pop();
     ++stats->pq_pops;
@@ -531,9 +496,7 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
       if (view.IsObject(child)) {
         if (view.Id(child) == exclude) continue;
         if (e_is_object && view.Id(child) == view.Id(e)) continue;
-        const auto [mn, mx] = pair_bounds(child);
-        const double value = guaranteed ? mn : mx;
-        if (value > threshold && ++count >= k) return k;
+        if (pair_bounds(child).first > threshold && ++count >= k) return k;
         continue;
       }
       const NodeRef child_node = view.Child(child);
@@ -555,10 +518,17 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
   return count;
 }
 
-/// Decides one candidate with its guaranteed (and, for nodes, potential)
-/// competitor probe: prune, report, or expand into `children`. Reads only
-/// the immutable tree and query scope, and writes only the worker's own
-/// state, so candidates of one round can be decided concurrently.
+/// Decides one candidate with one competitor probe: prune, report (objects
+/// only), or expand into `children`. Reads only the immutable tree and query
+/// scope, and writes only the worker's own state, so candidates of one round
+/// can be decided concurrently.
+///
+/// Prune test: at least k competitors are guaranteed to beat q for every
+/// object of the candidate (MaxST(q,E) < kNNL(E)). A node is never reported
+/// wholesale, so a node that is not pruned is expanded; that also makes its
+/// probe worth at most ⌈Count(E)/2⌉ bound computations, because deciding
+/// the node's objects one by one costs at least Count(E). An object's probe
+/// runs unbudgeted to its exact count.
 template <typename View>
 void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
                      ProbeWorker* w, std::vector<Candidate<View>>* children) {
@@ -571,17 +541,14 @@ void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
   const bool object = view.IsObject(cand.entry);
   const uint32_t cand_count = view.Count(cand.entry);
 
-  // Prune test: at least k competitors are guaranteed to beat q for every
-  // object of the candidate (MaxST(q,E) < kNNL(E)).
-  w->mem->ResetForCandidate();
   size_t guaranteed;
   {
     obs::TraceSpan span(trace, obs::names::kSpanProbeGuaranteed);
     obs::PhaseTimer bounds_phase(profiler, obs::Phase::kBounds);
     const uint64_t bounds_before = stats.bound_computations;
     const uint64_t pops_before = stats.pq_pops;
-    guaranteed = CountCompetitors(ctx, cand, w->mem, cand.q_max,
-                                  /*guaranteed=*/true, &stats);
+    const uint64_t budget = object ? UINT64_MAX : (cand_count + 1) / 2;
+    guaranteed = CountCompetitors(ctx, cand, budget, &stats);
     span.AddCount(obs::names::kCountBoundComputations,
                   stats.bound_computations - bounds_before);
     span.AddCount(obs::names::kCountPqPops, stats.pq_pops - pops_before);
@@ -596,9 +563,8 @@ void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
                       cand_count - (cand.contains_self ? 1 : 0));
     return;
   }
-  // For an object candidate the guaranteed probe descends every straddling
-  // subtree to exact object-object scores, so its count is exact: fewer
-  // than k competitors beat q ⇒ the object is an answer. No second probe.
+  // An object's count is exact: fewer than k competitors beat q ⇒ the
+  // object is an answer.
   if (object) {
     ++stats.reported_entries;
     w->explain.Record(view, cand.entry, cand.q_min, cand.q_max,
@@ -607,31 +573,6 @@ void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
     w->answers.push_back(view.Id(cand.entry));
     return;
   }
-  // Report test: fewer than k competitors can possibly beat q for any
-  // object of the candidate (MinST(q,E) >= kNNU(E)).
-  size_t potential;
-  {
-    obs::TraceSpan span(trace, obs::names::kSpanProbePotential);
-    obs::PhaseTimer bounds_phase(profiler, obs::Phase::kBounds);
-    const uint64_t bounds_before = stats.bound_computations;
-    const uint64_t pops_before = stats.pq_pops;
-    potential = CountCompetitors(ctx, cand, w->mem, cand.q_min,
-                                 /*guaranteed=*/false, &stats);
-    span.AddCount(obs::names::kCountBoundComputations,
-                  stats.bound_computations - bounds_before);
-    span.AddCount(obs::names::kCountPqPops, stats.pq_pops - pops_before);
-  }
-  if (potential < ctx.query.k) {
-    ++stats.reported_entries;
-    w->explain.Record(view, cand.entry, cand.q_min, cand.q_max,
-                      obs::ExplainVerdict::kReportHit,
-                      obs::ExplainBound::kUpperBound,
-                      cand_count - (cand.contains_self ? 1 : 0));
-    CollectObjectIds(view, cand.entry, ctx.query.self, &w->answers);
-    return;
-  }
-  // Undecided: objects are always decided by the exact guaranteed count
-  // (bounds are tight at leaf level), so only nodes reach this point.
   obs::TraceSpan expand_span(trace, obs::names::kSpanExpand);
   obs::PhaseTimer descent_phase(profiler, obs::Phase::kDescent);
   const NodeRef child_node = view.Child(cand.entry);
@@ -653,7 +594,7 @@ void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
 /// the frontier; the next frontier is the expanded candidates' children in
 /// frontier order. Without a pool (or with a 1-thread pool) rounds run
 /// inline on the caller. With more threads each round is one ParallelFor:
-/// worker w decides its candidates in its own scratch, counters and heatmap,
+/// worker w decides its candidates into its own counters and heatmap,
 /// and writes children into the slot of their parent's frontier index.
 /// Answers and every RstknnStats field equal the inline search (decisions
 /// are per-candidate and the charged set is order-free). EXPLAIN, traces,
@@ -687,9 +628,8 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
   if (profiler != nullptr) profiler->Enter(obs::Phase::kDescent);
   const TextSummary qsum = TextSummary::FromDoc(*query.doc);
 
-  // Working memory: reuse the caller's scratch (clearing keeps hash-table
-  // buckets warm across a batch) or allocate a query-local one. It holds the
-  // query-scope state and serves as worker 0's memo.
+  // Query-scope working memory: reuse the caller's scratch (clearing keeps
+  // hash-table buckets warm across a batch) or allocate a query-local one.
   std::unique_ptr<ProbeScratch> local_scratch;
   if (options.scratch == nullptr) {
     local_scratch = std::make_unique<ProbeScratch>();
@@ -704,20 +644,17 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
   const ProbeQuery<View> ctx{view, dataset, scorer, query,
                              options, AsSpan(qsum), mem};
 
-  std::vector<std::unique_ptr<ProbeScratch>> worker_scratch;
   std::vector<std::unique_ptr<obs::HeatmapRecorder>> worker_heatmaps;
   std::vector<ProbeWorker> workers;
   workers.reserve(num_workers);
-  workers.push_back({mem, ExplainSink(options, "probe"), {}, {}});
+  workers.push_back({ExplainSink(options, "probe"), {}, {}});
   for (size_t i = 1; i < num_workers; ++i) {
-    worker_scratch.push_back(std::make_unique<ProbeScratch>());
     obs::HeatmapRecorder* heatmap = nullptr;
     if (options.heatmap != nullptr) {
       worker_heatmaps.push_back(std::make_unique<obs::HeatmapRecorder>());
       heatmap = worker_heatmaps.back().get();
     }
-    workers.push_back(
-        {worker_scratch.back()->impl(), ExplainSink(heatmap), {}, {}});
+    workers.push_back({ExplainSink(heatmap), {}, {}});
   }
 
   std::vector<Candidate<View>> frontier;

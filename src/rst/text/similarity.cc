@@ -223,6 +223,12 @@ double TextSimilarity::MinSim(const SummarySpan& object,
   return 0.0;
 }
 
+StScorer::StScorer(const TextSimilarity* text, const StOptions& options)
+    : text_(text), options_(options) {
+  RST_CHECK(options.alpha >= 0.0 && options.alpha <= 1.0)
+      << "StScorer alpha " << options.alpha << " is outside [0, 1]";
+}
+
 double StScorer::SpatialSim(double dist) const {
   if (options_.max_dist <= 0.0) return dist <= 0.0 ? 1.0 : 0.0;
   return Clamp01(1.0 - dist / options_.max_dist);

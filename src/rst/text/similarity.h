@@ -158,9 +158,9 @@ struct StOptions {
 
 class StScorer {
  public:
-  /// `text` must outlive the scorer.
-  StScorer(const TextSimilarity* text, const StOptions& options)
-      : text_(text), options_(options) {}
+  /// `text` must outlive the scorer. `options.alpha` must lie in [0, 1]
+  /// (RST_CHECK): outside it the blended bounds stop bracketing scores.
+  StScorer(const TextSimilarity* text, const StOptions& options);
 
   const StOptions& options() const { return options_; }
   const TextSimilarity& text() const { return *text_; }

@@ -213,6 +213,35 @@ TEST(ReadJournalTest, ToleratesTornTrailingLine) {
   std::remove(path.c_str());
 }
 
+std::string HeaderLine(const std::string& extra) {
+  return "{\"type\":\"header\"," + extra +
+         "\"label\":\"t\",\"data\":\"d.tsv\",\"algo\":\"probe\","
+         "\"view\":\"frozen\",\"tree\":\"iur\",\"measure\":\"ej\","
+         "\"weighting\":\"tfidf\",\"threads\":1,\"sample_every\":1}\n";
+}
+
+TEST(ReadJournalTest, MissingVersionParsesAsOne) {
+  const std::string path = TempPath("rst_replay_unversioned.jsonl");
+  ASSERT_TRUE(WriteStringToFile(path, HeaderLine("\"alpha\":0.5,")).ok());
+  const Result<obs::JournalFile> loaded = obs::ReadJournal(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().header.version, 1u);
+  EXPECT_FALSE(obs::StatsComparable(loaded.value().header, "probe"));
+  std::remove(path.c_str());
+}
+
+TEST(ReadJournalTest, RejectsAlphaOutsideUnitInterval) {
+  const std::string path = TempPath("rst_replay_bad_alpha.jsonl");
+  for (const char* alpha : {"1.5", "-0.25"}) {
+    ASSERT_TRUE(WriteStringToFile(
+                    path, HeaderLine("\"version\":2,\"alpha\":" +
+                                     std::string(alpha) + ","))
+                    .ok());
+    EXPECT_FALSE(obs::ReadJournal(path).ok()) << alpha;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ReadJournalTest, RejectsRecordBeforeHeader) {
   const std::string path = TempPath("rst_replay_headerless.jsonl");
   ASSERT_TRUE(WriteStringToFile(
@@ -493,27 +522,63 @@ TEST(ReplayFixtureTest, ShardedCaptureReplaysOnOneTree) {
   EXPECT_EQ(ReplayFixtureDigestMismatches(journal), 0u);
 }
 
-// A journal without the "shards" field parses as a single-index capture whose
-// stats are comparable; writers no longer emit the field.
-TEST(ReplayFixtureTest, UnshardedCaptureStatsStayComparable) {
+// smoke.jsonl is a version-1 capture: its stats were counted under the
+// earlier node-probe rule, so they are not comparable, while its answers —
+// and therefore its digests — still match.
+TEST(ReplayFixtureTest, VersionOneCaptureReplaysWithStatsNotComparable) {
   const Result<obs::JournalFile> loaded = obs::ReadJournal(
       std::string(RST_SOURCE_DIR) + "/tests/fixtures/journals/smoke.jsonl");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().header.version, 1u);
   EXPECT_EQ(loaded.value().header.shards, 0u);
-  EXPECT_TRUE(obs::StatsComparable(loaded.value().header, "probe"));
-  EXPECT_FALSE(
-      obs::StatsComparable(loaded.value().header, "contribution_list"));
+  EXPECT_FALSE(obs::StatsComparable(loaded.value().header, "probe"));
   EXPECT_EQ(ReplayFixtureDigestMismatches(loaded.value()), 0u);
+}
 
-  obs::JournalHeader header = loaded.value().header;
-  header.shards = 4;
-  const std::string path = TempPath("rst_replay_no_shards.jsonl");
-  obs::WorkloadRecorder journal;
-  ASSERT_TRUE(journal.Open(path, header).ok());
-  ASSERT_TRUE(journal.Close().ok());
+// A capture of the unsharded IUR-tree written now (current version, no
+// "shards" field) is comparable under its own algorithm: replaying it
+// reproduces every recorded counter.
+TEST(ReplayFixtureTest, UnshardedCaptureStatsStayComparable) {
+  const ReplayFixture f;
+  const std::vector<RstknnQuery> queries = f.Queries(6, 5);
+  obs::JournalHeader header = TestHeader();
+  header.alpha = f.scorer.options().alpha;
+  header.shards = 4;  // parsed from old captures, never written
+  const std::string path = TempPath("rst_replay_unsharded.jsonl");
+  {
+    exec::ThreadPool pool(2);
+    exec::BatchRunner runner(&f.iur, &f.dataset, &f.scorer, &pool);
+    obs::WorkloadRecorder journal;
+    ASSERT_TRUE(journal.Open(path, header).ok());
+    runner.set_journal(&journal);
+    RstknnOptions options;
+    options.publish_metrics = false;
+    runner.RunRstknn(queries, options);
+    ASSERT_TRUE(journal.Close().ok());
+  }
   const Result<std::string> written = ReadFileToString(path);
   ASSERT_TRUE(written.ok()) << written.status().ToString();
   EXPECT_EQ(written.value().find("shards"), std::string::npos);
+
+  const Result<obs::JournalFile> loaded = obs::ReadJournal(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const obs::JournalFile& journal = loaded.value();
+  EXPECT_EQ(journal.header.version, obs::kJournalVersion);
+  EXPECT_EQ(journal.header.shards, 0u);
+  EXPECT_TRUE(obs::StatsComparable(journal.header, "probe"));
+  EXPECT_FALSE(obs::StatsComparable(journal.header, "contribution_list"));
+
+  const RstknnSearcher searcher(&f.iur, &f.dataset, &f.scorer);
+  RstknnOptions options;
+  options.publish_metrics = false;
+  ASSERT_EQ(journal.records.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const RstknnResult replayed = searcher.Search(queries[i], options);
+    EXPECT_EQ(obs::AnswerDigest(replayed.answers),
+              journal.records[i].answer_digest);
+    EXPECT_EQ(exec::ToJournalStats(replayed.stats), journal.records[i].stats)
+        << "query " << i;
+  }
   std::remove(path.c_str());
 }
 

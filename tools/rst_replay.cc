@@ -23,7 +23,10 @@
 //
 // Captures from the removed sharded index (header "shards" > 0) replay
 // against the one tree: digests must still match — the answer set does not
-// depend on the index shape — while their stats are reported n/a.
+// depend on the index shape — while their stats are reported n/a. So are the
+// stats of captures before journal version 2, which were counted under the
+// earlier node-probe rule. A header whose alpha lies outside [0, 1] is
+// rejected.
 //   --report FILE    write the per-query diff report as JSON
 //   --heatmap-out    write the replay's accumulated heatmap JSON
 //   --max-diffs N    cap per-query diff lines on stderr (default 10)
@@ -366,9 +369,12 @@ int Main(int argc, char** argv) {
   if (stats_comparable) {
     std::printf("stats mismatches:  %zu/%zu\n", stats_mismatches, n);
   } else {
-    std::printf("stats mismatches:  n/a (capture algo=%s tree=%s shards=%llu)\n",
-                journal.header.algo.c_str(), journal.header.tree.c_str(),
-                static_cast<unsigned long long>(journal.header.shards));
+    std::printf(
+        "stats mismatches:  n/a (capture algo=%s tree=%s shards=%llu "
+        "version=%llu)\n",
+        journal.header.algo.c_str(), journal.header.tree.c_str(),
+        static_cast<unsigned long long>(journal.header.shards),
+        static_cast<unsigned long long>(journal.header.version));
   }
   std::printf("heatmap reconciliation: %s\n",
               reconciled.ok() ? "exact" : "FAILED");

@@ -16,8 +16,9 @@
 //   rstknn_cli maxbrst  --data F --users F2 --locations "x:y;x:y"
 //                       --keywords "1 2 3" --ws W --k K [--method exact]
 //
-// Common flags: --alpha A (0.5), --measure ej|cos|sum (ej; sum for maxbrst),
-// --weighting tfidf|lm|binary (tfidf), --seed S.
+// Common flags: --alpha A (0.5; a number in [0, 1], else exit 2),
+// --measure ej|cos|sum (ej; sum for maxbrst), --weighting tfidf|lm|binary
+// (tfidf), --seed S.
 //
 // Observability flags (topk / rstknn / maxbrst):
 //   --trace             print the per-phase span tree of the query to stderr
@@ -170,6 +171,23 @@ std::optional<size_t> GetThreadCount(const Flags& flags,
     return std::nullopt;
   }
   return static_cast<size_t>(n);
+}
+
+/// --alpha weighs space against text. Outside [0, 1] the blended bounds stop
+/// bracketing scores and searches return wrong answers, so a non-numeric or
+/// out-of-range value prints the usage error and yields false; the caller
+/// exits 2.
+bool AlphaValid(const Flags& flags) {
+  if (!flags.Has("alpha")) return true;
+  const std::string value = flags.Get("alpha", "");
+  char* end = nullptr;
+  const double alpha = std::strtod(value.c_str(), &end);
+  if (end != value.c_str() && *end == '\0' && alpha >= 0.0 && alpha <= 1.0) {
+    return true;
+  }
+  std::fprintf(stderr, "--alpha must be a number in [0, 1] (got %s)\n",
+               value.c_str());
+  return false;
 }
 
 std::vector<TermId> ParseTerms(const std::string& s) {
@@ -932,6 +950,7 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   const Flags flags(argc, argv);
+  if (!AlphaValid(flags)) return 2;
   if (cmd == "gen") return CmdGen(flags);
   if (cmd == "genusers") return CmdGenUsers(flags);
   if (cmd == "stats") return CmdStats(flags);
