@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <unordered_map>
 #include <utility>
 
+#include "rst/common/check.h"
 #include "rst/common/file_util.h"
 #include "rst/common/stopwatch.h"
 #include "rst/obs/metrics.h"
@@ -98,6 +100,28 @@ TermSlice AppendToPool(const TermVector& vec, std::vector<TermWeight>* pool) {
   return slice;
 }
 
+/// First element of [first, last) whose term is >= `term`, by doubling
+/// probes from `first` and a binary search inside the last octave: O(log gap)
+/// per call as a merge advances.
+template <typename T, typename TermOf>
+const T* GallopTo(const T* first, const T* last, TermId term, TermOf term_of) {
+  if (first == last || term_of(*first) >= term) return first;
+  size_t step = 1;
+  while (first + step < last && term_of(first[step]) < term) step <<= 1;
+  return std::lower_bound(
+      first + (step >> 1) + 1, std::min(first + step, last), term,
+      [&term_of](const T& x, TermId t) { return term_of(x) < t; });
+}
+
+/// Kinds of postings, in their order within a dictionary entry (ScanDots
+/// reads the run boundaries in this order).
+enum PostingKind : uint32_t {
+  kEntryUni = 0,
+  kEntryIntr = 1,
+  kClusterUni = 2,
+  kClusterIntr = 3,
+};
+
 }  // namespace
 
 FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
@@ -175,9 +199,14 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
   }
   if (trace != nullptr) trace->Exit();  // layout
 
-  if (out.has_payloads_) {
-    obs::TraceSpan payload_span(trace, obs::names::kSpanFrozenPayloads);
-    out.RebuildPayloads();
+  // The tree's handles point into its own store, which FinalizeStorage()
+  // never writes again, so sharing it is exact.
+  if (out.has_payloads_) out.page_store_ = tree.shared_page_store();
+
+  {
+    obs::TraceSpan postings_span(trace, obs::names::kSpanFrozenPostings);
+    const Status derived = out.DeriveSearchArrays();
+    RST_CHECK(derived.ok()) << derived.ToString();
   }
 
   const FrozenMetrics& metrics = FrozenMetrics::Get();
@@ -186,12 +215,12 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
   return out;
 }
 
-void FrozenTree::SerializeNodePayloads(uint32_t node) {
+void FrozenTree::SerializeNodePayloads(uint32_t node, PageStore* store) {
   const uint32_t begin = node_entry_begin_[node];
   const uint32_t count = node_entry_count_[node];
   if (!IsLeaf(node)) {
     for (uint32_t i = 0; i < count; ++i) {
-      SerializeNodePayloads(entry_child_[begin + i]);
+      SerializeNodePayloads(entry_child_[begin + i], store);
     }
   }
   // Byte-for-byte the record IurTree::SerializeNode writes, in the same
@@ -208,7 +237,7 @@ void FrozenTree::SerializeNodePayloads(uint32_t node) {
     PutVarint32(&record, entry_id_[e] == kNoObject ? 0 : entry_id_[e] + 1);
     PutVarint32(&record, entry_summary_[e].count);
   }
-  node_record_[node] = page_store_->Write(record);
+  node_record_[node] = store->Write(record);
 
   InvertedFile file;
   for (uint32_t i = 0; i < count; ++i) {
@@ -241,14 +270,15 @@ void FrozenTree::SerializeNodePayloads(uint32_t node) {
       }
     }
   }
-  node_invfile_[node] = page_store_->Write(payload);
+  node_invfile_[node] = store->Write(payload);
 }
 
 void FrozenTree::RebuildPayloads() {
-  page_store_ = std::make_unique<PageStore>();
+  auto store = std::make_shared<PageStore>();
   node_record_.assign(num_nodes(), PageHandle());
   node_invfile_.assign(num_nodes(), PageHandle());
-  if (num_nodes() > 0) SerializeNodePayloads(root());
+  if (num_nodes() > 0) SerializeNodePayloads(root(), store.get());
+  page_store_ = std::move(store);
 }
 
 void FrozenTree::RecomputeNorms() {
@@ -259,6 +289,302 @@ void FrozenTree::RecomputeNorms() {
   };
   for (SummaryRef& s : entry_summary_) norms(&s);
   for (ClusterRef& c : clusters_) norms(&c.summary);
+}
+
+Status FrozenTree::ComputeSubtreeEnds(std::vector<uint32_t>* ends) const {
+  const uint32_t n_nodes = num_nodes();
+  ends->assign(n_nodes, 0);
+  // Children carry larger ids than their parent, so one reverse sweep sees
+  // every child's end before its parent needs it.
+  for (uint32_t n = n_nodes; n-- > 0;) {
+    uint32_t expected = n + 1;
+    if (!IsLeaf(n)) {
+      for (uint32_t i = 0; i < node_entry_count_[n]; ++i) {
+        const uint32_t child = entry_child_[node_entry_begin_[n] + i];
+        if (child != expected || child >= n_nodes) {
+          return Status::Corruption("frozen index: node numbering is not "
+                                    "preorder");
+        }
+        expected = (*ends)[child];
+      }
+    }
+    (*ends)[n] = expected;
+  }
+  if (n_nodes > 0 && (*ends)[0] != n_nodes) {
+    return Status::Corruption("frozen index: node numbering is not preorder");
+  }
+  return Status::Ok();
+}
+
+uint32_t FrozenTree::LeafOf(uint32_t id) const {
+  const auto it = std::find(entry_id_.begin(), entry_id_.end(), id);
+  if (id == kNoObject || it == entry_id_.end()) return kNoNode;
+  const uint32_t e = static_cast<uint32_t>(it - entry_id_.begin());
+  // Entries tile the nodes in order; the last node starting at or before e
+  // holds it (an empty node never precedes the one it shares a start with).
+  return static_cast<uint32_t>(std::upper_bound(node_entry_begin_.begin(),
+                                                node_entry_begin_.end(), e) -
+                               node_entry_begin_.begin()) -
+         1;
+}
+
+uint32_t FrozenTree::NodeClusterCount(uint32_t node) const {
+  uint32_t count = 0;
+  for (uint32_t i = 0; i < node_entry_count_[node]; ++i) {
+    count += entry_cluster_count_[node_entry_begin_[node] + i];
+  }
+  return count;
+}
+
+Status FrozenTree::DeriveSearchArrays() {
+  Status status = ComputeSubtreeEnds(&node_subtree_end_);
+  if (!status.ok()) return status;
+  const uint32_t n_nodes = num_nodes();
+
+  auto same_run = [this](const TermSlice& a, const TermSlice& b) {
+    return a.len == b.len &&
+           (a.offset == b.offset ||
+            std::equal(pool_.begin() + static_cast<ptrdiff_t>(a.offset),
+                       pool_.begin() + static_cast<ptrdiff_t>(a.offset + a.len),
+                       pool_.begin() + static_cast<ptrdiff_t>(b.offset)));
+  };
+  // Clusters are entries when every entry is its own intersection and its
+  // one cluster (clustered trees) repeats its blended summary: leaves.
+  auto clusters_are_entries = [&](uint32_t node) {
+    for (uint32_t i = 0; i < node_entry_count_[node]; ++i) {
+      const uint32_t e = node_entry_begin_[node] + i;
+      const SummaryRef& s = entry_summary_[e];
+      if (!same_run(s.uni, s.intr)) return false;
+      if (entry_cluster_count_[e] != (clustered_ ? 1u : 0u)) return false;
+      if (clustered_) {
+        const SummaryRef& c = clusters_[entry_cluster_begin_[e]].summary;
+        if (!same_run(c.uni, s.uni) || !same_run(c.intr, s.intr) ||
+            c.uni_norm_sq != s.uni_norm_sq ||
+            c.intr_norm_sq != s.intr_norm_sq) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  // The sorted runs a node's postings come from, numbered kind-major: every
+  // entry union run, then the entry intersection, cluster union and cluster
+  // intersection runs (only the first kind when clusters are entries).
+  struct Run {
+    const TermWeight* at;
+    const TermWeight* end;
+    uint32_t kind;
+    uint32_t slot;
+  };
+  std::vector<Run> runs;
+  auto collect_runs = [&](uint32_t node, bool entries_only) {
+    runs.clear();
+    const uint32_t begin = node_entry_begin_[node];
+    const uint32_t count = node_entry_count_[node];
+    auto add = [&](const TermSlice& slice, uint32_t kind, uint32_t slot) {
+      const TermWeight* at = pool_.data() + slice.offset;
+      runs.push_back({at, at + slice.len, kind, slot});
+    };
+    for (uint32_t i = 0; i < count; ++i) {
+      add(entry_summary_[begin + i].uni, kEntryUni, i);
+    }
+    if (entries_only) return;
+    for (uint32_t i = 0; i < count; ++i) {
+      add(entry_summary_[begin + i].intr, kEntryIntr, i);
+    }
+    for (uint32_t kind : {kClusterUni, kClusterIntr}) {
+      uint32_t slot = 0;
+      for (uint32_t i = 0; i < count; ++i) {
+        const uint32_t e = begin + i;
+        for (uint32_t c = 0; c < entry_cluster_count_[e]; ++c, ++slot) {
+          const SummaryRef& cluster =
+              clusters_[entry_cluster_begin_[e] + c].summary;
+          add(kind == kClusterUni ? cluster.uni : cluster.intr, kind, slot);
+        }
+      }
+    }
+  };
+
+  // Pass 1: node kinds and the exact posting count.
+  constexpr uint32_t kMaxSlots = 1u << 16;
+  node_aux_begin_.assign(n_nodes, 0);
+  max_node_entries_ = 0;
+  max_node_clusters_ = 0;
+  uint64_t post_total = 0;
+  for (uint32_t n = 0; n < n_nodes; ++n) {
+    const uint32_t clusters = NodeClusterCount(n);
+    if (node_entry_count_[n] > kMaxSlots || clusters > kMaxSlots) {
+      return Status::InvalidArgument(
+          "frozen index: a node holds more than 65536 entries or clusters");
+    }
+    max_node_entries_ = std::max(max_node_entries_, node_entry_count_[n]);
+    max_node_clusters_ = std::max(max_node_clusters_, clusters);
+    const bool only = clusters_are_entries(n);
+    if (only) node_aux_begin_[n] = kNoNode;
+    collect_runs(n, only);
+    for (const Run& run : runs) post_total += run.end - run.at;
+  }
+  if (post_total >= kNoNode) {
+    return Status::InvalidArgument("frozen index: postings exceed 2^32");
+  }
+  post_slot_.assign(post_total, 0);
+  post_weight_.assign(post_total, 0.0f);
+  node_dict_begin_.assign(n_nodes + 1, 0);
+  dict_term_.clear();
+  dict_begin_.clear();
+  dict_aux_.clear();
+
+  // Pass 2: a k-way merge of each node's runs by (term, run number) emits
+  // its postings already grouped by term, and within a term by kind.
+  std::vector<uint64_t> heap;  // (term << 32 | run), smallest on top
+  const auto later = std::greater<uint64_t>();
+  uint32_t next = 0;
+  for (uint32_t n = 0; n < n_nodes; ++n) {
+    const bool only = node_aux_begin_[n] == kNoNode;
+    if (!only) node_aux_begin_[n] = static_cast<uint32_t>(dict_aux_.size());
+    node_dict_begin_[n] = static_cast<uint32_t>(dict_term_.size());
+    collect_runs(n, only);
+    heap.clear();
+    for (uint32_t r = 0; r < runs.size(); ++r) {
+      if (runs[r].at != runs[r].end) {
+        heap.push_back(uint64_t{runs[r].at->term} << 32 | r);
+      }
+    }
+    std::make_heap(heap.begin(), heap.end(), later);
+    uint32_t kind = 0;  // kinds of the current term closed so far
+    auto close_kinds = [&](uint32_t upto) {
+      for (; kind < upto; ++kind) {
+        if (!only && kind < 3) dict_aux_[dict_aux_.size() - 3 + kind] = next;
+      }
+    };
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      const uint64_t top = heap.back();
+      heap.pop_back();
+      const TermId term = static_cast<TermId>(top >> 32);
+      Run& run = runs[static_cast<uint32_t>(top)];
+      const bool first_term = dict_term_.size() == node_dict_begin_[n];
+      if (first_term || dict_term_.back() != term) {
+        if (!first_term) close_kinds(4);
+        dict_term_.push_back(term);
+        dict_begin_.push_back(next);
+        if (!only) dict_aux_.insert(dict_aux_.end(), 3, 0);
+        kind = 0;
+      }
+      close_kinds(run.kind);
+      post_slot_[next] = static_cast<uint16_t>(run.slot);
+      post_weight_[next] = run.at->weight;
+      ++next;
+      if (++run.at != run.end) {
+        heap.push_back(uint64_t{run.at->term} << 32 | (top & 0xFFFFFFFFu));
+        std::push_heap(heap.begin(), heap.end(), later);
+      }
+    }
+    if (dict_term_.size() > node_dict_begin_[n]) close_kinds(4);
+    if (dict_term_.size() >= kNoNode) {
+      return Status::InvalidArgument("frozen index: postings exceed 2^32");
+    }
+  }
+  node_dict_begin_[n_nodes] = static_cast<uint32_t>(dict_term_.size());
+  dict_begin_.push_back(next);
+  dict_term_.shrink_to_fit();
+  dict_begin_.shrink_to_fit();
+  dict_aux_.shrink_to_fit();
+  return Status::Ok();
+}
+
+void FrozenTree::EntryDots(uint32_t node, const SummarySpan& probe,
+                           double* uni, double* intr) const {
+  ScanDots(node, probe, /*clusters=*/false, uni, intr);
+}
+
+void FrozenTree::ClusterDots(uint32_t node, const SummarySpan& probe,
+                             double* uni, double* intr) const {
+  // A node whose clusters are its entries has one per entry, or none at all
+  // in an unclustered tree.
+  if (ClustersAreEntries(node)) {
+    if (clustered_) ScanDots(node, probe, /*clusters=*/false, uni, intr);
+    return;
+  }
+  ScanDots(node, probe, /*clusters=*/true, uni, intr);
+}
+
+void FrozenTree::ScanDots(uint32_t node, const SummarySpan& probe,
+                          bool clusters, double* uni, double* intr) const {
+  const uint32_t slots =
+      clusters ? NodeClusterCount(node) : node_entry_count_[node];
+  std::fill(uni, uni + slots, 0.0);
+  std::fill(intr, intr + slots, 0.0);
+  const uint32_t d0 = node_dict_begin_[node];
+  const uint32_t aux = node_aux_begin_[node];
+  const uint32_t* const dict = dict_term_.data();
+  const uint16_t* const slot_of = post_slot_.data();
+  const float* const weight_of = post_weight_.data();
+  auto add = [&](uint32_t begin, uint32_t end, float w, double* out) {
+    for (uint32_t i = begin; i < end; ++i) {
+      out[slot_of[i]] += static_cast<double>(w) * weight_of[i];
+    }
+  };
+  // One merge of the probe's union terms with the dictionary. The probe's
+  // intersection terms are a subset of its union terms, so its cursor `q`
+  // only ever moves forward to the union term just matched. Each slot's sums
+  // run over the probe's terms in ascending order, one exact float × float
+  // product per shared term: DotSpan's sums, bit for bit.
+  const TermWeight* p = probe.uni.data;
+  const TermWeight* const p_end = p + probe.uni.len;
+  const TermWeight* q = probe.intr.data;
+  const TermWeight* const q_end = q + probe.intr.len;
+  const uint32_t* t = dict + d0;
+  const uint32_t* const t_end = dict + node_dict_begin_[node + 1];
+  auto term_of = [](const TermWeight& w) { return w.term; };
+  while (p != p_end && t != t_end) {
+    if (p->term < *t) {
+      p = GallopTo(p, p_end, *t, term_of);
+      continue;
+    }
+    if (*t < p->term) {
+      t = GallopTo(t, t_end, p->term, [](uint32_t term) { return term; });
+      continue;
+    }
+    const uint32_t d = static_cast<uint32_t>(t - dict);
+    bool in_intr = false;
+    float intr_weight = 0.0f;
+    if (q != q_end && q->term <= p->term) {
+      q = GallopTo(q, q_end, p->term, term_of);
+      if (q != q_end && q->term == p->term) {
+        in_intr = true;
+        intr_weight = q->weight;
+        ++q;
+      }
+    }
+    if (aux == kNoNode) {
+      // Intersections are unions here: one run feeds both sums.
+      const uint32_t begin = dict_begin_[d];
+      const uint32_t end = dict_begin_[d + 1];
+      if (in_intr) {
+        for (uint32_t i = begin; i < end; ++i) {
+          uni[slot_of[i]] += static_cast<double>(p->weight) * weight_of[i];
+          intr[slot_of[i]] += static_cast<double>(intr_weight) * weight_of[i];
+        }
+      } else {
+        add(begin, end, p->weight, uni);
+      }
+    } else {
+      // Runs: [begin, ends[0]) entry union, [ends[0], ends[1]) entry
+      // intersection, [ends[1], ends[2]) cluster union, [ends[2], next
+      // begin) cluster intersection.
+      const uint32_t* ends = &dict_aux_[aux + 3 * (d - d0)];
+      if (clusters) {
+        add(ends[1], ends[2], p->weight, uni);
+        if (in_intr) add(ends[2], dict_begin_[d + 1], intr_weight, intr);
+      } else {
+        add(dict_begin_[d], ends[0], p->weight, uni);
+        if (in_intr) add(ends[0], ends[1], intr_weight, intr);
+      }
+    }
+    ++p;
+    ++t;
+  }
 }
 
 void FrozenTree::ChargeAccess(uint32_t node, IoStats* stats) const {
@@ -461,6 +787,8 @@ Result<FrozenTree> FrozenTree::Deserialize(const std::string& bytes) {
   status = out.CheckInvariants();
   if (!status.ok()) return status;
   out.RecomputeNorms();
+  status = out.DeriveSearchArrays();
+  if (!status.ok()) return status;
   if (out.has_payloads_) out.RebuildPayloads();
   return out;
 }
@@ -547,6 +875,9 @@ Status FrozenTree::CheckInvariants() const {
   if (objects != size_) {
     return Status::Corruption("frozen index: object count mismatch");
   }
+  std::vector<uint32_t> subtree_end;
+  const Status preorder = ComputeSubtreeEnds(&subtree_end);
+  if (!preorder.ok()) return preorder;
   auto check_ref = [this](const SummaryRef& s) {
     return s.uni.offset + s.uni.len <= pool_.size() &&
            s.intr.offset + s.intr.len <= pool_.size();

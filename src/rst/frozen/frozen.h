@@ -57,12 +57,23 @@ struct ClusterRef {
 /// the IurTree stays the builder and the Insert/Delete structure, and a
 /// caller re-freezes after updating it.
 ///
-/// Storage: the frozen tree owns a PageStore whose node records and inverted
-/// files are re-encoded in the exact post-order of IurTree::FinalizeStorage,
-/// so page handles and byte counts — and therefore simulated and real I/O
-/// accounting — match the source IurTree exactly. The serialized file
-/// (Save/Load) stores only the arrays and the pool; payloads are rebuilt
-/// deterministically on load.
+/// Node numbering is preorder, so the subtree of node n is exactly the node
+/// range [n, SubtreeEnd(n)): ancestry and containment are two integer
+/// compares. Deserialize rejects a snapshot numbered any other way.
+///
+/// Per-node postings (DESIGN.md §3.2) are derived from the pool slices at
+/// Freeze and Load, with no snapshot-format change: for each node a sorted
+/// term dictionary and, per term, the (slot, weight) postings of its
+/// entries' union and intersection vectors and of their per-cluster
+/// summaries. EntryDots/ClusterDots bound all entries of a node against one
+/// summary in one pass, bit-identical to one DotSpan per entry.
+///
+/// Storage: a frozen tree shares the PageStore of the IurTree it froze (the
+/// page handles are the tree's own), and a loaded one rebuilds an identical
+/// store by re-encoding node records and inverted files in the post-order of
+/// IurTree::FinalizeStorage, so simulated and real I/O accounting match the
+/// source IurTree exactly. The serialized file (Save/Load) stores only the
+/// arrays and the pool.
 class FrozenTree {
  public:
   static constexpr uint32_t kNoObject = IurTree::kNoObject;
@@ -75,9 +86,10 @@ class FrozenTree {
   FrozenTree& operator=(FrozenTree&&) noexcept = default;
 
   /// Snapshots a built tree. If the tree's storage is finalized the frozen
-  /// payload store is rebuilt with identical handles; otherwise the frozen
-  /// tree has no payloads (ChargeAccess then charges node reads only — same
-  /// as the dirty IurTree). Records `frozen.freeze` spans on `trace`
+  /// tree shares its payload store; otherwise the frozen tree has no
+  /// payloads (ChargeAccess then charges node reads only — same as the dirty
+  /// IurTree). RST_CHECKs the postings limit (at most 65536 entries or
+  /// cluster summaries per node). Records `frozen.freeze` spans on `trace`
   /// and publishes frozen.freezes / frozen.freeze.last_ms.
   static FrozenTree Freeze(const IurTree& tree,
                            obs::QueryTrace* trace = nullptr);
@@ -95,6 +107,14 @@ class FrozenTree {
   bool IsLeaf(uint32_t node) const { return node_leaf_[node] != 0; }
   uint32_t EntryBegin(uint32_t node) const { return node_entry_begin_[node]; }
   uint32_t EntryCount(uint32_t node) const { return node_entry_count_[node]; }
+  /// One past the last node of `node`'s subtree (preorder numbering).
+  uint32_t SubtreeEnd(uint32_t node) const { return node_subtree_end_[node]; }
+  /// True when `node`'s subtree contains node `other` (or is it).
+  bool Contains(uint32_t node, uint32_t other) const {
+    return node <= other && other < node_subtree_end_[node];
+  }
+  /// The leaf holding object `id`, or kNoNode when no entry indexes it.
+  uint32_t LeafOf(uint32_t id) const;
 
   // --- Entries ---
   const Rect& EntryRect(uint32_t e) const { return entry_rect_[e]; }
@@ -116,6 +136,32 @@ class FrozenTree {
   uint32_t ClusterCount(uint32_t e, uint32_t i) const {
     return clusters_[entry_cluster_begin_[e] + i].summary.count;
   }
+
+  // --- Per-node postings ---
+  /// Sizes of the largest node, for callers that preallocate dot buffers.
+  uint32_t MaxNodeEntries() const { return max_node_entries_; }
+  uint32_t MaxNodeClusters() const { return max_node_clusters_; }
+  /// Cluster summaries of `node`'s entries. ClusterDots numbers them from 0
+  /// in entry order, each entry's clusters in cluster order.
+  uint32_t NodeClusterCount(uint32_t node) const;
+  /// True when each entry of `node` has intersection == union and, in a
+  /// clustered tree, exactly one cluster summary equal to its blended one
+  /// (leaf nodes): cluster i of the node is then entry slot i, with the same
+  /// dots.
+  bool ClustersAreEntries(uint32_t node) const {
+    return node_aux_begin_[node] == kNoNode;
+  }
+  /// One pass over `node`'s postings: uni[i] = <probe.uni, entry i's uni>
+  /// and intr[i] = <probe.intr, entry i's intr> for every entry slot i, each
+  /// summed in ascending term order like DotSpan, so bit-identical to it.
+  /// The probe's intersection terms must be among its union terms, as in
+  /// every summary (a document's are the same). Both buffers hold at least
+  /// EntryCount(node) doubles.
+  void EntryDots(uint32_t node, const SummarySpan& probe, double* uni,
+                 double* intr) const;
+  /// The same over the node's cluster summaries (NodeClusterCount doubles).
+  void ClusterDots(uint32_t node, const SummarySpan& probe, double* uni,
+                   double* intr) const;
 
   // --- Storage / I/O (mirrors IurTree accounting byte-for-byte) ---
   const PageStore& page_store() const { return *page_store_; }
@@ -154,11 +200,19 @@ class FrozenTree {
         s.count};
   }
 
-  /// Re-encodes node records and inverted files into page_store_ in the
-  /// exact post-order of IurTree::SerializeNode.
-  void SerializeNodePayloads(uint32_t node);
+  /// Re-encodes node records and inverted files into `store` in the exact
+  /// post-order of IurTree::SerializeNode.
+  void SerializeNodePayloads(uint32_t node, PageStore* store);
   void RebuildPayloads();
   void RecomputeNorms();
+  /// Subtree ends from the child links; Corruption unless the numbering is
+  /// preorder (children in entry order are n + 1, then each one's end).
+  Status ComputeSubtreeEnds(std::vector<uint32_t>* ends) const;
+  /// Derives subtree ends and the per-node postings (Freeze and Load).
+  Status DeriveSearchArrays();
+  /// The one scan behind EntryDots (clusters = false) and ClusterDots.
+  void ScanDots(uint32_t node, const SummarySpan& probe, bool clusters,
+                double* uni, double* intr) const;
 
   // SoA node arrays.
   std::vector<uint8_t> node_leaf_;
@@ -166,6 +220,7 @@ class FrozenTree {
   std::vector<uint32_t> node_entry_count_;
   std::vector<PageHandle> node_record_;
   std::vector<PageHandle> node_invfile_;
+  std::vector<uint32_t> node_subtree_end_;
 
   // SoA entry arrays (index order == explain preorder, id = index + 1).
   std::vector<Rect> entry_rect_;
@@ -179,7 +234,24 @@ class FrozenTree {
   std::vector<ClusterRef> clusters_;  ///< concatenated per-entry cluster runs
   std::vector<TermWeight> pool_;      ///< shared term-weight arena
 
-  std::unique_ptr<PageStore> page_store_ = std::make_unique<PageStore>();
+  // Per-node postings. Node n's dictionary is dict_term_[node_dict_begin_[n]
+  // .. node_dict_begin_[n + 1]); entry d's postings start at dict_begin_[d]
+  // and end where d + 1's start. A node whose clusters are its entries holds
+  // only the union run; any other node's postings are four runs — entry
+  // union, entry intersection, cluster union, cluster intersection — split
+  // by the three ends at dict_aux_[node_aux_begin_[n] + 3 * (d - first d)].
+  std::vector<uint32_t> node_dict_begin_;
+  std::vector<uint32_t> node_aux_begin_;  ///< kNoNode: clusters are entries
+  std::vector<uint32_t> dict_term_;
+  std::vector<uint32_t> dict_begin_;
+  std::vector<uint32_t> dict_aux_;
+  std::vector<uint16_t> post_slot_;  ///< entry slot or node-local cluster
+  std::vector<float> post_weight_;
+  uint32_t max_node_entries_ = 0;
+  uint32_t max_node_clusters_ = 0;
+
+  std::shared_ptr<const PageStore> page_store_ =
+      std::make_shared<const PageStore>();
   uint64_t size_ = 0;
   bool clustered_ = false;
   bool has_payloads_ = false;

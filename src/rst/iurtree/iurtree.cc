@@ -82,7 +82,7 @@ IurTree::IurTree(const IurTreeOptions& options)
     : options_(options),
       // +1 entry slot: InsertRec pushes past max_entries before splitting.
       arena_(std::make_unique<NodeArena>(options.max_entries + 1)),
-      page_store_(std::make_unique<PageStore>()) {
+      page_store_(std::make_shared<PageStore>()) {
   RST_CHECK_GE(options_.max_entries, 2 * options_.min_entries)
       << "IurTreeOptions: max_entries must be at least twice min_entries";
   root_ = arena_->Create();
@@ -581,7 +581,8 @@ void IurTree::FinalizeStorage() {
     storage_dirty_ = false;
     return;
   }
-  page_store_ = std::make_unique<PageStore>();
+  // A fresh store, never the one a frozen snapshot may share.
+  page_store_ = std::make_shared<PageStore>();
   SerializeNode(root_);
   storage_dirty_ = false;
 }
@@ -848,20 +849,6 @@ TextBounds EntryPairTextBounds(const IurTree::Entry& a, const IurTree::Entry& b,
       bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(sa, sb));
       bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(sa, sb));
     }
-  }
-  return bounds;
-}
-
-TextBounds EntryTextBoundsVsClusters(const TextSummary& a,
-                                     const IurTree::Entry& b,
-                                     const TextSimilarity& sim) {
-  if (b.clusters.empty()) {
-    return {sim.MinSim(a, b.summary), sim.MaxSim(a, b.summary)};
-  }
-  TextBounds bounds{1.0, 0.0};
-  for (const auto& [cluster_id, summary] : b.clusters) {
-    bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(a, summary));
-    bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(a, summary));
   }
   return bounds;
 }

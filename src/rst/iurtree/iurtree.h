@@ -150,6 +150,11 @@ class IurTree {
   /// Total serialized bytes (node records + inverted files).
   uint64_t IndexBytes() const;
   const PageStore& page_store() const { return *page_store_; }
+  /// The store itself, for a frozen snapshot to share: FinalizeStorage()
+  /// always writes into a new store, so a shared one never changes again.
+  std::shared_ptr<const PageStore> shared_page_store() const {
+    return page_store_;
+  }
   const NodeArena& arena() const { return *arena_; }
 
   /// Charges the simulated I/O of opening `node`: one node read plus the
@@ -181,7 +186,7 @@ class IurTree {
   /// root_ so the slabs outlive the pointers into them.
   std::unique_ptr<NodeArena> arena_;
   Node* root_ = nullptr;
-  std::unique_ptr<PageStore> page_store_;
+  std::shared_ptr<PageStore> page_store_;
   size_t size_ = 0;
   bool clustered_ = false;
   bool storage_dirty_ = true;
@@ -198,14 +203,6 @@ TextBounds EntryTextBounds(const IurTree::Entry& entry,
 TextBounds EntryPairTextBounds(const IurTree::Entry& a,
                                const IurTree::Entry& b,
                                const TextSimilarity& sim);
-
-/// One-sided variant: blends `a` but refines over `b`'s clusters — 
-/// O(|b.clusters|) kernel evaluations instead of the full cross product,
-/// still a valid (if slightly looser) bracket. The RSTkNN probes use this in
-/// the straddle region (DESIGN.md §3.3).
-TextBounds EntryTextBoundsVsClusters(const TextSummary& a,
-                                     const IurTree::Entry& b,
-                                     const TextSimilarity& sim);
 
 /// TE expansion priority: entropy of the entry's cluster-count distribution
 /// (0 for unclustered entries).

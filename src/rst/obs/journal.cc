@@ -233,6 +233,10 @@ Status ParseHeader(const JsonValue& obj, JournalHeader* header) {
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "view", &header->view));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "tree", &header->tree));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "measure", &header->measure));
+  if (header->measure == "sum") {
+    return Status::InvalidArgument(
+        "journal: measure \"sum\" is not an RSTkNN measure (ej or cos)");
+  }
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "weighting", &header->weighting));
   JOURNAL_RETURN_IF_ERROR(ReadDouble(obj, "alpha", &header->alpha));
   if (!(header->alpha >= 0.0 && header->alpha <= 1.0)) {

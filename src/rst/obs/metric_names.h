@@ -169,7 +169,7 @@ inline constexpr char kSpanMaxbrstSelect[] = "maxbrst.select";
 inline constexpr char kSpanMaxbrstEvaluate[] = "maxbrst.evaluate";
 inline constexpr char kSpanFrozenFreeze[] = "frozen.freeze";
 inline constexpr char kSpanFrozenLayout[] = "layout";
-inline constexpr char kSpanFrozenPayloads[] = "payloads";
+inline constexpr char kSpanFrozenPostings[] = "postings";
 inline constexpr char kSpanBufferPoolFill[] = "buffer_pool.fill";
 inline constexpr char kSpanStorageReadNode[] = "storage.read_node";
 inline constexpr char kSpanSetup[] = "setup";

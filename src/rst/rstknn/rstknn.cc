@@ -40,6 +40,14 @@ RstknnStats& RstknnStats::Merge(const RstknnStats& other) {
   return *this;
 }
 
+RstknnSearcher::RstknnSearcher(const frozen::FrozenTree* tree,
+                               const Dataset* dataset, const StScorer* scorer)
+    : tree_(tree), dataset_(dataset), scorer_(scorer) {
+  RST_CHECK(scorer->text().measure() != TextMeasure::kSum)
+      << "RSTkNN supports the extended_jaccard and cosine measures; "
+         "normalized_sum (TextMeasure::kSum) is MaxBRSTkNN's measure";
+}
+
 RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
                                     const RstknnOptions& options,
                                     exec::ThreadPool* pool) const {

@@ -67,10 +67,11 @@ enum class ExpandPolicy {
   kTextEntropy,
 };
 
-/// Reusable per-thread working memory for RstknnSearcher: the query-path
-/// set, the per-node charged flags and the contribution-list pair memo. A
-/// searcher given a scratch clears it instead of reallocating, so hash-table
-/// buckets survive across the queries of a batch.
+/// Reusable per-thread working memory for RstknnSearcher: the per-node
+/// charged flags, the probe workers' heaps and dot buffers, the frontiers
+/// and the contribution-list pair memo. A searcher given a scratch clears it
+/// instead of reallocating, so a steady-state probe query allocates only its
+/// answers.
 /// A ProbeScratch may be reused across queries but must never be shared by
 /// two concurrent queries — rst::exec::BatchRunner keeps one per worker.
 class ProbeScratch {
@@ -175,10 +176,12 @@ struct RstknnResult {
 /// snapshot. Its entry indices are the explain numbering (id = index + 1).
 class RstknnSearcher {
  public:
-  /// All referents must outlive the searcher.
+  /// All referents must outlive the searcher. The scorer's text measure must
+  /// be extended Jaccard or cosine (RST_CHECK): the search bounds pairs from
+  /// dot products, and TextMeasure::kSum, a keyword-set ratio, has no dot
+  /// form (it is MaxBRSTkNN's measure).
   RstknnSearcher(const frozen::FrozenTree* tree, const Dataset* dataset,
-                 const StScorer* scorer)
-      : tree_(tree), dataset_(dataset), scorer_(scorer) {}
+                 const StScorer* scorer);
 
   /// Runs one query. With a `pool` of more than one thread, each round of
   /// the probe algorithm fans its candidates out across the pool (DESIGN.md

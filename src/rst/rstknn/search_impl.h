@@ -9,15 +9,15 @@
 /// view names nodes and entries by NodeRef/EntryRef (dense indices) and
 /// exposes:
 ///   * topology — Root, NumNodes, NumEntries, EntryAt, Child, IsObject, Id,
-///                Count;
+///                Count, and Contains (preorder subtree intervals);
 ///   * geometry — RectOf;
 ///   * text     — Summary / ClusterSummary as SummarySpan, which feed the
-///                single span-kernel implementation of every similarity
-///                bound;
-///   * keys     — NodeKey/EntryKey map refs to uintptr_t for the query-path
-///                set and the contribution-list pair memo of
-///                ProbeScratch::Impl; NodeKey also indexes the per-node flag
-///                array of charged nodes;
+///                span kernels, and EntryDots / ClusterDots, which bound
+///                every entry of a node against one summary in one pass over
+///                the node's postings;
+///   * keys     — NodeKey/EntryKey map refs to uintptr_t for the per-node
+///                charged flags and the contribution-list pair memo of
+///                ProbeScratch::Impl;
 ///   * I/O      — Charge (simulated or real through a buffer pool);
 ///   * explain  — ExplainOf yielding the deterministic explain id/level.
 ///
@@ -37,13 +37,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <iterator>
 #include <memory>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -81,59 +78,6 @@ struct PairBoundsValue {
   double mx = 0.0;
 };
 
-}  // namespace rstknn_internal
-
-/// The working memory behind the public ProbeScratch handle, all of query
-/// scope. self_path (the query object's root path) and charged are read by
-/// every fan-out worker through the calling thread's scratch; pair_bounds is
-/// the contribution-list algorithm's pair memo, which spans one whole query
-/// because each pick recomputes its list against every live entry. The probe
-/// algorithm keeps no memo: one probe per candidate examines each entry at
-/// most once. clear() keeps hash-table buckets, which is the point of reuse.
-struct ProbeScratch::Impl {
-  std::unordered_set<uintptr_t> self_path;
-  /// One flag per tree node: set once the node's I/O is charged this query.
-  std::vector<uint8_t> charged;
-  std::unordered_map<rstknn_internal::EntryPairKey,
-                     rstknn_internal::PairBoundsValue,
-                     rstknn_internal::EntryPairKeyHash>
-      pair_bounds;
-
-  void ResetForQuery(size_t num_nodes) {
-    self_path.clear();
-    charged.assign(num_nodes, 0);
-    pair_bounds.clear();
-  }
-  /// True for exactly one caller per node and query, whichever worker
-  /// touches the node first. The load skips the exchange for nodes already
-  /// paid for, which is nearly every probe visit.
-  bool Claim(uintptr_t node) {
-    std::atomic_ref<uint8_t> flag(charged[node]);
-    return flag.load() == 0 && flag.exchange(1) == 0;
-  }
-};
-
-namespace rstknn_internal {
-
-/// Collects the node-key set on the root-to-leaf path of object `id`.
-template <typename View>
-bool CollectPath(const View& view, typename View::NodeRef node, ObjectId id,
-                 std::unordered_set<uintptr_t>* path) {
-  for (size_t i = 0, n = view.NumEntries(node); i < n; ++i) {
-    const auto e = view.EntryAt(node, i);
-    if (view.IsObject(e)) {
-      if (view.Id(e) == id) {
-        path->insert(View::NodeKey(node));
-        return true;
-      }
-    } else if (CollectPath(view, view.Child(e), id, path)) {
-      path->insert(View::NodeKey(node));
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Explain id and tree level of one entry: the stable numbering behind
 /// EXPLAIN decisions and heatmap nodes (ids start at 1).
 struct ExplainInfo {
@@ -144,6 +88,7 @@ struct ExplainInfo {
 struct FrozenTreeView {
   using NodeRef = uint32_t;
   using EntryRef = uint32_t;
+  static constexpr NodeRef kNoNode = frozen::FrozenTree::kNoNode;
 
   const frozen::FrozenTree* tree = nullptr;
 
@@ -158,6 +103,11 @@ struct FrozenTreeView {
   ObjectId Id(EntryRef e) const { return tree->ObjectIdOf(e); }
   NodeRef Child(EntryRef e) const { return tree->Child(e); }
   uint32_t Count(EntryRef e) const { return tree->Count(e); }
+  /// True when node `n`'s subtree holds node `other`; false for kNoNode.
+  bool Contains(NodeRef n, NodeRef other) const {
+    return tree->Contains(n, other);
+  }
+  NodeRef LeafOf(ObjectId id) const { return tree->LeafOf(id); }
   const Rect& RectOf(EntryRef e) const { return tree->EntryRect(e); }
   SummarySpan Summary(EntryRef e) const { return tree->Summary(e); }
   size_t NumClusters(EntryRef e) const { return tree->NumClusters(e); }
@@ -166,6 +116,19 @@ struct FrozenTreeView {
   }
   uint32_t ClusterCount(EntryRef e, size_t i) const {
     return tree->ClusterCount(e, static_cast<uint32_t>(i));
+  }
+  size_t MaxNodeEntries() const { return tree->MaxNodeEntries(); }
+  size_t MaxNodeClusters() const { return tree->MaxNodeClusters(); }
+  bool ClustersAreEntries(NodeRef n) const {
+    return tree->ClustersAreEntries(n);
+  }
+  void EntryDots(NodeRef n, const SummarySpan& probe, double* uni,
+                 double* intr) const {
+    tree->EntryDots(n, probe, uni, intr);
+  }
+  void ClusterDots(NodeRef n, const SummarySpan& probe, double* uni,
+                   double* intr) const {
+    tree->ClusterDots(n, probe, uni, intr);
   }
 
   static uintptr_t NodeKey(NodeRef n) { return n; }
@@ -195,11 +158,10 @@ struct FrozenTreeView {
   }
 };
 
-/// Generic counterparts of EntryTextBounds / EntryPairTextBounds /
-/// EntryTextBoundsVsClusters / EntryClusterEntropy (iurtree.h). Cluster
-/// iteration order and kernel call sequence match those IurTree free
-/// functions exactly — both share the same span kernels underneath, so the
-/// computed doubles are bit-identical.
+/// Span-kernel bounds of one entry against a plain summary (the query) and
+/// between two entries, cluster-aware like EntryTextBounds /
+/// EntryPairTextBounds (iurtree.h): same cluster order, same kernels, so the
+/// doubles are bit-identical.
 template <typename View>
 TextBounds ViewEntryTextBounds(const View& view, typename View::EntryRef e,
                                const SummarySpan& other,
@@ -244,24 +206,6 @@ TextBounds ViewPairTextBounds(const View& view, typename View::EntryRef a,
 }
 
 template <typename View>
-TextBounds ViewBoundsVsClusters(const View& view, const SummarySpan& a,
-                                typename View::EntryRef b,
-                                const TextSimilarity& sim) {
-  const size_t nb = view.NumClusters(b);
-  if (nb == 0) {
-    const SummarySpan sb = view.Summary(b);
-    return {sim.MinSim(a, sb), sim.MaxSim(a, sb)};
-  }
-  TextBounds bounds{1.0, 0.0};
-  for (size_t i = 0; i < nb; ++i) {
-    const SummarySpan sb = view.ClusterSummary(b, i);
-    bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(a, sb));
-    bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(a, sb));
-  }
-  return bounds;
-}
-
-template <typename View>
 double ViewClusterEntropy(const View& view, typename View::EntryRef e) {
   const size_t nc = view.NumClusters(e);
   if (nc == 0) return 0.0;
@@ -272,16 +216,15 @@ double ViewClusterEntropy(const View& view, typename View::EntryRef e) {
 }
 
 /// A candidate entry of the branch-and-bound search: a subtree (or object)
-/// whose membership in the answer is still to be decided.
+/// whose membership in the answer is still to be decided. Its ancestry is
+/// the preorder interval test on `parent`, so a candidate owns no memory.
 template <typename View>
 struct Candidate {
   typename View::EntryRef entry{};
-  /// NodeKeys of the root path whose subtrees contain this entry (used to
-  /// avoid double-counting the candidate's own objects during probes).
-  std::vector<uintptr_t> path;
-  bool contains_self = false;  ///< subtree holds the query object
-  double q_min = 0.0;          ///< MinST(q, E)
-  double q_max = 0.0;          ///< MaxST(q, E)
+  typename View::NodeRef parent{};  ///< the node holding `entry`
+  bool contains_self = false;       ///< subtree holds the query object
+  double q_min = 0.0;               ///< MinST(q, E)
+  double q_max = 0.0;               ///< MaxST(q, E)
 };
 
 template <typename View>
@@ -304,6 +247,7 @@ struct ExplainSink {
   obs::ExplainRecorder* recorder = nullptr;
   obs::HeatmapRecorder* heatmap = nullptr;
 
+  ExplainSink() = default;
   ExplainSink(const RstknnOptions& options, std::string_view algorithm)
       : recorder(options.explain), heatmap(options.heatmap) {
     // The heatmap is deliberately NOT reset: it accumulates across queries.
@@ -332,6 +276,79 @@ struct ExplainSink {
   }
 };
 
+/// One node of a probe's best-first queue, keyed by its pair MaxST.
+struct ProbeItem {
+  double max_st;
+  uint32_t node;
+  bool operator<(const ProbeItem& other) const {
+    return max_st < other.max_st;
+  }
+};
+
+/// One worker's private state in a probe search: its decision sink,
+/// counters and answers, plus storage it reuses from query to query — the
+/// probe heap and the per-node dot buffers. Counters and answers are merged
+/// after the last round; integer sums and a final sort make the merge
+/// order-free.
+struct ProbeWorker {
+  ExplainSink explain;
+  RstknnStats stats;
+  std::vector<ObjectId> answers;
+  std::vector<ProbeItem> heap;
+  /// <E.uni, X.uni> and <E.intr, X.intr> for the entries X of the node being
+  /// scanned, then the same for its clusters.
+  std::vector<double> dots;
+
+  void ResetForQuery(ExplainSink sink, size_t max_entries,
+                     size_t max_clusters) {
+    explain = sink;
+    stats = RstknnStats();
+    answers.clear();
+    dots.resize(2 * (max_entries + max_clusters));
+  }
+};
+
+}  // namespace rstknn_internal
+
+/// The working memory behind the public ProbeScratch handle, all of query
+/// scope and reused from query to query, so that a client's steady-state
+/// query allocates only its answers: the per-node charged flags (read by
+/// every fan-out worker through the calling thread's scratch), the probe
+/// workers, the frontiers, and the contribution-list algorithm's pair memo,
+/// which spans one whole query because each pick recomputes its list against
+/// every live entry. The probe algorithm keeps no memo: one probe per
+/// candidate examines each entry at most once.
+struct ProbeScratch::Impl {
+  using Candidate =
+      rstknn_internal::Candidate<rstknn_internal::FrozenTreeView>;
+
+  /// One flag per tree node: set once the node's I/O is charged this query.
+  std::vector<uint8_t> charged;
+  std::vector<rstknn_internal::ProbeWorker> workers;
+  std::vector<Candidate> frontier;
+  std::vector<Candidate> next;
+  /// Fan-out: the children of frontier candidate i, before concatenation.
+  std::vector<std::vector<Candidate>> slots;
+  std::unordered_map<rstknn_internal::EntryPairKey,
+                     rstknn_internal::PairBoundsValue,
+                     rstknn_internal::EntryPairKeyHash>
+      pair_bounds;
+
+  void ResetForQuery(size_t num_nodes) {
+    charged.assign(num_nodes, 0);
+    pair_bounds.clear();
+  }
+  /// True for exactly one caller per node and query, whichever worker
+  /// touches the node first. The load skips the exchange for nodes already
+  /// paid for, which is nearly every probe visit.
+  bool Claim(uintptr_t node) {
+    std::atomic_ref<uint8_t> flag(charged[node]);
+    return flag.load() == 0 && flag.exchange(1) == 0;
+  }
+};
+
+namespace rstknn_internal {
+
 /// Query-scope inputs of every probe decision. Read-only during a round,
 /// except for the charged-node claims in `shared`, which are atomic.
 template <typename View>
@@ -342,7 +359,9 @@ struct ProbeQuery {
   const RstknnQuery& query;
   const RstknnOptions& options;
   SummarySpan qspan;
-  ProbeScratch::Impl* shared;  ///< self_path + charged (the caller's scratch)
+  /// The leaf holding the query object, or View::kNoNode.
+  typename View::NodeRef self_leaf;
+  ProbeScratch::Impl* shared;  ///< charged flags (the caller's scratch)
 
   /// Charges one node access the first time any worker opens the node this
   /// query. The branch-and-bound keeps every opened node resident for the
@@ -354,19 +373,11 @@ struct ProbeQuery {
   }
 };
 
-/// One worker's private state in a probe search: its decision sink,
-/// counters and answers. Counters and answers are merged after the last
-/// round; integer sums and a final sort make the merge order-free.
-struct ProbeWorker {
-  ExplainSink explain;
-  RstknnStats stats;
-  std::vector<ObjectId> answers;
-};
-
-/// Appends the candidate for entry `e` (with MinST/MaxST to q) to `out`.
+/// Appends the candidate for entry `e` of node `parent` (with MinST/MaxST to
+/// q) to `out`.
 template <typename View>
-void AddCandidate(const ProbeQuery<View>& ctx, typename View::EntryRef e,
-                  std::vector<uintptr_t> path, RstknnStats* stats,
+void AddCandidate(const ProbeQuery<View>& ctx, typename View::NodeRef parent,
+                  typename View::EntryRef e, RstknnStats* stats,
                   std::vector<Candidate<View>>* out) {
   const View& view = ctx.view;
   const StScorer& scorer = ctx.scorer;
@@ -375,15 +386,14 @@ void AddCandidate(const ProbeQuery<View>& ctx, typename View::EntryRef e,
                                                              // candidate
   Candidate<View> cand;
   cand.entry = e;
-  cand.path = std::move(path);
+  cand.parent = parent;
   if (view.IsObject(e)) {
     const StObject& obj = ctx.dataset.object(view.Id(e));
     cand.q_min = cand.q_max =
         scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
   } else {
     const double alpha = scorer.options().alpha;
-    cand.contains_self =
-        ctx.shared->self_path.count(View::NodeKey(view.Child(e))) > 0;
+    cand.contains_self = view.Contains(view.Child(e), ctx.self_leaf);
     const TextBounds tb =
         ViewEntryTextBounds(view, e, ctx.qspan, scorer.text());
     const Rect& rect = view.RectOf(e);
@@ -393,7 +403,7 @@ void AddCandidate(const ProbeQuery<View>& ctx, typename View::EntryRef e,
                  (1.0 - alpha) * tb.max_sim;
   }
   ++stats->entries_created;
-  out->push_back(std::move(cand));
+  out->push_back(cand);
 }
 
 /// Counts competitor objects guaranteed to beat q for every object of
@@ -405,16 +415,25 @@ void AddCandidate(const ProbeQuery<View>& ctx, typename View::EntryRef e,
 /// level. The probe stops early once it has spent `budget` bound
 /// computations (checked before each pop); the partial count is still a lower
 /// bound on the true one, which is all the prune test needs.
+///
+/// A popped node is bounded whole: one pass over its postings with E's
+/// summary yields <E.uni, X.uni> and <E.intr, X.intr> for every child X, and
+/// the first child whose blended bound straddles the threshold triggers one
+/// more pass for the node's cluster summaries. Each bound is then the
+/// measure's formula on those dots and the cached norms, bit-identical to
+/// the span kernels; bound_computations still counts one per child bound and
+/// one per cluster refinement.
 template <typename View>
 size_t CountCompetitors(const ProbeQuery<View>& ctx,
                         const Candidate<View>& cand, uint64_t budget,
-                        RstknnStats* stats) {
+                        ProbeWorker* worker) {
   using NodeRef = typename View::NodeRef;
   const View& view = ctx.view;
   const StScorer& scorer = ctx.scorer;
+  const TextSimilarity& text = scorer.text();
+  RstknnStats* stats = &worker->stats;
   const size_t k = ctx.query.k;
   const ObjectId exclude = ctx.query.self;
-  const auto& exclude_path = ctx.shared->self_path;
   const auto e = cand.entry;
   const Rect& e_rect = view.RectOf(e);
   const SummarySpan e_sum = view.Summary(e);
@@ -428,7 +447,7 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
   // Self term: the candidate's own other objects compete among themselves.
   uint32_t own = view.Count(e) - (cand.contains_self ? 1 : 0);
   if (own > 1) {
-    const TextBounds tb = ViewPairTextBounds(view, e, e, scorer.text());
+    const TextBounds tb = ViewPairTextBounds(view, e, e, text);
     ++stats->bound_computations;
     const double intra = alpha * scorer.SpatialSim(MaxDistance(e_rect, e_rect)) +
                          (1.0 - alpha) * tb.min_sim;
@@ -438,81 +457,111 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
     }
   }
 
-  // Pair bounds with lazy cluster refinement: the cheap blended-summary
-  // bound decides most entries outright; per-cluster bounds (up to
-  // |clusters|^2 kernel evaluations) are computed only when the blended
-  // bound straddles the threshold and could change the outcome.
-  auto pair_bounds = [&](typename View::EntryRef other) {
-    const Rect& other_rect = view.RectOf(other);
-    const double spatial_min =
-        alpha * scorer.SpatialSim(MaxDistance(e_rect, other_rect));
-    const double spatial_max =
-        alpha * scorer.SpatialSim(MinDistance(e_rect, other_rect));
-    ++stats->bound_computations;
-    const SummarySpan other_sum = view.Summary(other);
-    double mn = spatial_min +
-                (1.0 - alpha) * scorer.text().MinSim(e_sum, other_sum);
-    double mx = spatial_max +
-                (1.0 - alpha) * scorer.text().MaxSim(e_sum, other_sum);
-    if (view.NumClusters(other) > 0 && mn <= threshold && mx > threshold) {
-      const TextBounds tb =
-          ViewBoundsVsClusters(view, e_sum, other, scorer.text());
-      ++stats->bound_computations;
-      mn = spatial_min + (1.0 - alpha) * tb.min_sim;
-      mx = spatial_max + (1.0 - alpha) * tb.max_sim;
-    }
-    return std::make_pair(mn, mx);
-  };
+  const size_t max_entries = view.MaxNodeEntries();
+  double* const uni_dots = worker->dots.data();
+  double* const intr_dots = uni_dots + max_entries;
+  double* const cluster_uni = intr_dots + max_entries;
+  double* const cluster_intr = cluster_uni + view.MaxNodeClusters();
 
-  auto is_own_subtree = [&](NodeRef node) {
-    return !e_is_object && node == view.Child(e);
-  };
-  auto is_ancestor = [&](NodeRef node) {
-    return std::find(cand.path.begin(), cand.path.end(),
-                     View::NodeKey(node)) != cand.path.end();
-  };
+  std::vector<ProbeItem>& heap = worker->heap;
+  heap.clear();
+  heap.push_back({1.0, view.Root()});
 
-  struct ProbeItem {
-    double max_st;
-    double min_st;
-    NodeRef node;
-    bool contains_exclude;
-    bool operator<(const ProbeItem& other) const {
-      return max_st < other.max_st;
-    }
-  };
-  std::priority_queue<ProbeItem> pq;
-  pq.push({1.0, 0.0, view.Root(), true});
-
-  while (!pq.empty()) {
+  while (!heap.empty()) {
     if (stats->bound_computations - bounds_before >= budget) break;
-    const ProbeItem item = pq.top();
-    pq.pop();
+    std::pop_heap(heap.begin(), heap.end());
+    const ProbeItem item = heap.back();
+    heap.pop_back();
     ++stats->pq_pops;
     if (item.max_st <= threshold) break;  // nothing left can matter
-    ctx.ChargeOnce(item.node, stats);
-    for (size_t i = 0, n = view.NumEntries(item.node); i < n; ++i) {
-      const auto child = view.EntryAt(item.node, i);
+    const NodeRef node = item.node;
+    ctx.ChargeOnce(node, stats);
+    view.EntryDots(node, e_sum, uni_dots, intr_dots);
+    // Cluster dots of this node, computed the first time a child needs them.
+    const double* c_uni = nullptr;
+    const double* c_intr = nullptr;
+
+    // Pair bounds with lazy cluster refinement: the blended-summary bound
+    // decides most entries outright; per-cluster bounds are computed only
+    // when it straddles the threshold and could change the outcome.
+    auto pair_bounds = [&](typename View::EntryRef other, size_t slot,
+                           size_t first_cluster) {
+      const Rect& other_rect = view.RectOf(other);
+      const double spatial_min =
+          alpha * scorer.SpatialSim(MaxDistance(e_rect, other_rect));
+      const double spatial_max =
+          alpha * scorer.SpatialSim(MinDistance(e_rect, other_rect));
+      ++stats->bound_computations;
+      const SummarySpan other_sum = view.Summary(other);
+      double mn = spatial_min + (1.0 - alpha) * text.MinSimFromDot(
+                                                  intr_dots[slot],
+                                                  e_sum.uni.norm_squared,
+                                                  other_sum.uni.norm_squared);
+      double mx = spatial_max + (1.0 - alpha) * text.MaxSimFromDot(
+                                                  uni_dots[slot],
+                                                  e_sum.intr.norm_squared,
+                                                  other_sum.intr.norm_squared);
+      const size_t nc = view.NumClusters(other);
+      if (nc > 0 && mn <= threshold && mx > threshold) {
+        if (c_uni == nullptr) {
+          if (view.ClustersAreEntries(node)) {
+            c_uni = uni_dots;
+            c_intr = intr_dots;
+          } else {
+            view.ClusterDots(node, e_sum, cluster_uni, cluster_intr);
+            c_uni = cluster_uni;
+            c_intr = cluster_intr;
+          }
+        }
+        ++stats->bound_computations;
+        TextBounds tb{1.0, 0.0};
+        for (size_t c = 0; c < nc; ++c) {
+          const SummarySpan cs = view.ClusterSummary(other, c);
+          tb.min_sim = std::min(
+              tb.min_sim,
+              text.MinSimFromDot(c_intr[first_cluster + c],
+                                 e_sum.uni.norm_squared, cs.uni.norm_squared));
+          tb.max_sim = std::max(
+              tb.max_sim,
+              text.MaxSimFromDot(c_uni[first_cluster + c],
+                                 e_sum.intr.norm_squared,
+                                 cs.intr.norm_squared));
+        }
+        mn = spatial_min + (1.0 - alpha) * tb.min_sim;
+        mx = spatial_max + (1.0 - alpha) * tb.max_sim;
+      }
+      return std::make_pair(mn, mx);
+    };
+
+    size_t next_cluster = 0;  // node-local index of the child's first cluster
+    for (size_t i = 0, n = view.NumEntries(node); i < n; ++i) {
+      const auto child = view.EntryAt(node, i);
+      const size_t first_cluster = next_cluster;
+      next_cluster += view.NumClusters(child);
       if (view.IsObject(child)) {
         if (view.Id(child) == exclude) continue;
         if (e_is_object && view.Id(child) == view.Id(e)) continue;
-        if (pair_bounds(child).first > threshold && ++count >= k) return k;
+        if (pair_bounds(child, i, first_cluster).first > threshold &&
+            ++count >= k) {
+          return k;
+        }
         continue;
       }
       const NodeRef child_node = view.Child(child);
-      if (is_own_subtree(child_node)) continue;  // covered by the self term
-      const auto [mn, mx] = pair_bounds(child);
+      // E's own subtree is covered by the self term.
+      if (!e_is_object && child_node == view.Child(e)) continue;
+      const auto [mn, mx] = pair_bounds(child, i, first_cluster);
       if (mx <= threshold) continue;  // no object inside can matter
-      const bool overlaps_cand = is_ancestor(child_node);
-      const bool overlaps_excl =
-          exclude_path.count(View::NodeKey(child_node)) > 0;
-      if (mn > threshold && !overlaps_cand) {
-        // Every object in this disjoint subtree clears the threshold.
-        count += view.Count(child) - (overlaps_excl ? 1 : 0);
+      if (mn > threshold && !view.Contains(child_node, cand.parent)) {
+        // Every object in this subtree, which is disjoint from E, clears the
+        // threshold.
+        count += view.Count(child) -
+                 (view.Contains(child_node, ctx.self_leaf) ? 1 : 0);
         if (count >= k) return k;
         continue;
       }
-      pq.push({mx, mn, child_node, overlaps_excl});
+      heap.push_back({mx, child_node});
+      std::push_heap(heap.begin(), heap.end());
     }
   }
   return count;
@@ -548,7 +597,7 @@ void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
     const uint64_t bounds_before = stats.bound_computations;
     const uint64_t pops_before = stats.pq_pops;
     const uint64_t budget = object ? UINT64_MAX : (cand_count + 1) / 2;
-    guaranteed = CountCompetitors(ctx, cand, budget, &stats);
+    guaranteed = CountCompetitors(ctx, cand, budget, w);
     span.AddCount(obs::names::kCountBoundComputations,
                   stats.bound_computations - bounds_before);
     span.AddCount(obs::names::kCountPqPops, stats.pq_pops - pops_before);
@@ -580,14 +629,17 @@ void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
   ++stats.expansions;
   w->explain.Record(view, cand.entry, cand.q_min, cand.q_max,
                     obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone, 0);
-  std::vector<uintptr_t> child_path = cand.path;
-  child_path.push_back(View::NodeKey(child_node));
   const size_t num_children = view.NumEntries(child_node);
   for (size_t i = 0; i < num_children; ++i) {
-    AddCandidate(ctx, view.EntryAt(child_node, i), child_path, &stats,
+    AddCandidate(ctx, child_node, view.EntryAt(child_node, i), &stats,
                  children);
   }
   expand_span.AddCount(obs::names::kCountEntries, num_children);
+}
+
+/// A document as a one-document summary, without copying it.
+inline SummarySpan DocSpan(const TermVector& doc) {
+  return SummarySpan{AsSpan(doc), AsSpan(doc), 1};
 }
 
 /// The probe algorithm's one driver. Each round decides every candidate of
@@ -600,11 +652,16 @@ void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
 /// are per-candidate and the charged set is order-free). EXPLAIN, traces,
 /// the phase profiler and the real-I/O buffer pool are single-threaded
 /// instruments, so a fanned-out search rejects them.
-template <typename View>
-RstknnResult SearchProbe(const View& view, const Dataset& dataset,
-                         const StScorer& scorer, const RstknnQuery& query,
-                         const RstknnOptions& options,
-                         exec::ThreadPool* pool) {
+///
+/// Large k: an object has at most |D| − 1 − [self ∈ D] competitors, so when
+/// that is below k every object but the query object is an answer, and the
+/// search returns them all with no probe.
+inline RstknnResult SearchProbe(const FrozenTreeView& view,
+                                const Dataset& dataset, const StScorer& scorer,
+                                const RstknnQuery& query,
+                                const RstknnOptions& options,
+                                exec::ThreadPool* pool) {
+  using View = FrozenTreeView;
   RstknnResult result;
   if (view.TreeSize() == 0 || query.k == 0) return result;
   const size_t num_workers = pool != nullptr ? pool->num_threads() : 1;
@@ -626,10 +683,9 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
   obs::PhaseProfiler* profiler = options.profiler;
   if (trace != nullptr) trace->Enter(obs::names::kSpanSetup);
   if (profiler != nullptr) profiler->Enter(obs::Phase::kDescent);
-  const TextSummary qsum = TextSummary::FromDoc(*query.doc);
 
-  // Query-scope working memory: reuse the caller's scratch (clearing keeps
-  // hash-table buckets warm across a batch) or allocate a query-local one.
+  // Query-scope working memory: reuse the caller's scratch or allocate a
+  // query-local one.
   std::unique_ptr<ProbeScratch> local_scratch;
   if (options.scratch == nullptr) {
     local_scratch = std::make_unique<ProbeScratch>();
@@ -638,37 +694,48 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
       (options.scratch != nullptr ? options.scratch : local_scratch.get())
           ->impl();
   mem->ResetForQuery(view.NumNodes());
-  if (query.self != IurTree::kNoObject) {
-    CollectPath(view, view.Root(), query.self, &mem->self_path);
-  }
-  const ProbeQuery<View> ctx{view, dataset, scorer, query,
-                             options, AsSpan(qsum), mem};
+  const View::NodeRef self_leaf = query.self != IurTree::kNoObject
+                                      ? view.LeafOf(query.self)
+                                      : View::kNoNode;
+  const ProbeQuery<View> ctx{view,    dataset,          scorer, query,
+                             options, DocSpan(*query.doc), self_leaf, mem};
 
   std::vector<std::unique_ptr<obs::HeatmapRecorder>> worker_heatmaps;
-  std::vector<ProbeWorker> workers;
-  workers.reserve(num_workers);
-  workers.push_back({ExplainSink(options, "probe"), {}, {}});
+  std::vector<ProbeWorker>& workers = mem->workers;
+  if (workers.size() < num_workers) workers.resize(num_workers);
+  workers[0].ResetForQuery(ExplainSink(options, "probe"),
+                           view.MaxNodeEntries(), view.MaxNodeClusters());
   for (size_t i = 1; i < num_workers; ++i) {
     obs::HeatmapRecorder* heatmap = nullptr;
     if (options.heatmap != nullptr) {
       worker_heatmaps.push_back(std::make_unique<obs::HeatmapRecorder>());
       heatmap = worker_heatmaps.back().get();
     }
-    workers.push_back({ExplainSink(heatmap), {}, {}});
+    workers[i].ResetForQuery(ExplainSink(heatmap), view.MaxNodeEntries(),
+                             view.MaxNodeClusters());
   }
 
-  std::vector<Candidate<View>> frontier;
-  std::vector<Candidate<View>> next;
+  const size_t others = view.TreeSize() - (self_leaf != View::kNoNode ? 1 : 0);
+  std::vector<Candidate<View>>& frontier = mem->frontier;
+  std::vector<Candidate<View>>& next = mem->next;
+  frontier.clear();
   const auto root = view.Root();
-  ctx.ChargeOnce(root, &workers[0].stats);
-  for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
-    AddCandidate(ctx, view.EntryAt(root, i), {View::NodeKey(root)},
-                 &workers[0].stats, &frontier);
+  if (others > query.k) {
+    ctx.ChargeOnce(root, &workers[0].stats);
+    for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
+      AddCandidate(ctx, root, view.EntryAt(root, i), &workers[0].stats,
+                   &frontier);
+    }
+  } else {
+    for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
+      CollectObjectIds(view, view.EntryAt(root, i), query.self,
+                       &workers[0].answers);
+    }
   }
   if (profiler != nullptr) profiler->Exit();  // descent (setup)
   if (trace != nullptr) trace->Exit();  // setup
 
-  std::vector<std::vector<Candidate<View>>> slots;
+  std::vector<std::vector<Candidate<View>>>& slots = mem->slots;
   while (!frontier.empty()) {
     next.clear();
     if (num_workers == 1 || frontier.size() == 1) {
@@ -676,12 +743,13 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
         DecideCandidate(ctx, cand, &workers[0], &next);
       }
     } else {
-      slots.assign(frontier.size(), {});
+      if (slots.size() < frontier.size()) slots.resize(frontier.size());
+      for (size_t i = 0; i < frontier.size(); ++i) slots[i].clear();
       pool->ParallelFor(frontier.size(), 1, [&](size_t i, size_t w) {
         DecideCandidate(ctx, frontier[i], &workers[w], &slots[i]);
       });
-      for (std::vector<Candidate<View>>& children : slots) {
-        std::move(children.begin(), children.end(), std::back_inserter(next));
+      for (size_t i = 0; i < frontier.size(); ++i) {
+        next.insert(next.end(), slots[i].begin(), slots[i].end());
       }
     }
     frontier.swap(next);
@@ -689,10 +757,13 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
 
   {
     obs::PhaseTimer finalize_phase(profiler, obs::Phase::kFinalize);
-    for (ProbeWorker& w : workers) {
-      result.stats.Merge(w.stats);
-      result.answers.insert(result.answers.end(), w.answers.begin(),
-                            w.answers.end());
+    size_t total = 0;
+    for (size_t i = 0; i < num_workers; ++i) total += workers[i].answers.size();
+    result.answers.reserve(total);
+    for (size_t i = 0; i < num_workers; ++i) {
+      result.stats.Merge(workers[i].stats);
+      result.answers.insert(result.answers.end(), workers[i].answers.begin(),
+                            workers[i].answers.end());
     }
     std::sort(result.answers.begin(), result.answers.end());
   }
@@ -733,8 +804,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   if (view.TreeSize() == 0 || query.k == 0) return result;
   const ExplainSink explain(options, "contribution_list");
   const double alpha = scorer.options().alpha;
-  const TextSummary qsum = TextSummary::FromDoc(*query.doc);
-  const SummarySpan qspan = AsSpan(qsum);
+  const SummarySpan qspan = DocSpan(*query.doc);
 
   std::unique_ptr<ProbeScratch> local_scratch;
   if (options.scratch == nullptr) {
@@ -744,10 +814,9 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
       (options.scratch != nullptr ? options.scratch : local_scratch.get())
           ->impl();
   mem->ResetForQuery(view.NumNodes());
-  std::unordered_set<uintptr_t>& self_path = mem->self_path;
-  if (query.self != IurTree::kNoObject) {
-    CollectPath(view, view.Root(), query.self, &self_path);
-  }
+  const NodeRef self_leaf = query.self != IurTree::kNoObject
+                                ? view.LeafOf(query.self)
+                                : View::kNoNode;
 
   enum class State { kUndecided, kPruned, kReported };
   struct FlatEntry {
@@ -774,7 +843,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
             scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
       }
     } else {
-      fe.contains_self = self_path.count(View::NodeKey(view.Child(e))) > 0;
+      fe.contains_self = view.Contains(view.Child(e), self_leaf);
       const TextBounds tb = ViewEntryTextBounds(view, e, qspan, scorer.text());
       const Rect& rect = view.RectOf(e);
       fe.q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +

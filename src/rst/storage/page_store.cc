@@ -1,5 +1,7 @@
 #include "rst/storage/page_store.h"
 
+#include <algorithm>
+
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
 
@@ -35,19 +37,14 @@ struct PageStoreMetrics {
 
 PageHandle PageStore::Write(const std::string& payload) {
   PageHandle handle;
-  handle.first_page = static_cast<PageId>(pages_.size());
+  handle.first_page = static_cast<PageId>(num_pages_);
   handle.bytes = static_cast<uint32_t>(payload.size());
   handle.num_pages =
       static_cast<uint32_t>((payload.size() + kPageSize - 1) / kPageSize);
   if (handle.num_pages == 0) handle.num_pages = 1;  // empty payloads pin a page
-  for (uint32_t i = 0; i < handle.num_pages; ++i) {
-    const size_t begin = i * kPageSize;
-    const size_t len = std::min(kPageSize, payload.size() - std::min(
-                                               begin, payload.size()));
-    std::string page = payload.substr(std::min(begin, payload.size()), len);
-    page.resize(kPageSize, '\0');
-    pages_.push_back(std::move(page));
-  }
+  first_pages_.push_back(handle.first_page);
+  payloads_.push_back(payload);
+  num_pages_ += handle.num_pages;
   payload_bytes_ += payload.size();
   const PageStoreMetrics& metrics = PageStoreMetrics::Get();
   metrics.writes.Increment();
@@ -58,20 +55,21 @@ PageHandle PageStore::Write(const std::string& payload) {
 Status PageStore::Read(const PageHandle& handle, std::string* out,
                        IoStats* stats) const {
   if (!handle.valid() ||
-      handle.first_page + handle.num_pages > pages_.size()) {
+      uint64_t{handle.first_page} + handle.num_pages > num_pages_) {
     return Status::OutOfRange("page handle outside store");
   }
-  out->clear();
-  out->reserve(handle.bytes);
-  for (uint32_t i = 0; i < handle.num_pages && out->size() < handle.bytes;
-       ++i) {
-    const std::string& page = pages_[handle.first_page + i];
-    const size_t want = std::min(kPageSize, handle.bytes - out->size());
-    out->append(page.data(), want);
+  const auto it = std::lower_bound(first_pages_.begin(), first_pages_.end(),
+                                   handle.first_page);
+  if (it == first_pages_.end() || *it != handle.first_page) {
+    return Status::InvalidArgument("page handle does not start a payload");
   }
-  if (out->size() != handle.bytes) {
-    return Status::Corruption("short page read");
+  const std::string& payload = payloads_[it - first_pages_.begin()];
+  const uint64_t pages = std::max<uint64_t>(
+      1, (uint64_t{payload.size()} + kPageSize - 1) / kPageSize);
+  if (payload.size() != handle.bytes || pages != handle.num_pages) {
+    return Status::Corruption("page handle extent mismatch");
   }
+  *out = payload;
   if (stats != nullptr) stats->AddPayloadRead(handle.bytes);
   const PageStoreMetrics& metrics = PageStoreMetrics::Get();
   metrics.reads.Increment();

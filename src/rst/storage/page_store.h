@@ -24,8 +24,10 @@ struct PageHandle {
 /// Append-only simulated disk of 4 KiB pages. Index structures serialize
 /// their node payloads and inverted files here; every Read charges the
 /// simulated I/O cost of the pages it touches (unless served by a
-/// BufferPool layered above). The backing memory is real — sizes reported by
-/// the benchmarks are byte-accurate.
+/// BufferPool layered above). Page numbering and page counts are those of a
+/// padded disk (a payload spans ⌈bytes / 4 KiB⌉ pages, at least one), but the
+/// backing memory holds each payload at its own size, so PayloadBytes() is
+/// what the store really occupies and TotalBytes() what the disk would.
 class PageStore {
  public:
   static constexpr size_t kPageSize = IoStats::kPageSize;
@@ -34,20 +36,25 @@ class PageStore {
   PageStore(const PageStore&) = delete;
   PageStore& operator=(const PageStore&) = delete;
 
-  /// Appends `payload`, padding the final page. Never fails (memory-backed).
+  /// Appends `payload` on fresh pages. Never fails (memory-backed).
   PageHandle Write(const std::string& payload);
 
   /// Reads the payload for `handle` into `*out`, charging `stats` (if
-  /// non-null) one payload read of handle.bytes.
+  /// non-null) one payload read of handle.bytes. A handle that is not one
+  /// Write() returned (it does not start a payload, or its extent differs)
+  /// is an error.
   Status Read(const PageHandle& handle, std::string* out,
               IoStats* stats) const;
 
-  size_t num_pages() const { return pages_.size(); }
-  uint64_t TotalBytes() const { return pages_.size() * kPageSize; }
+  size_t num_pages() const { return num_pages_; }
+  uint64_t TotalBytes() const { return num_pages_ * kPageSize; }
   uint64_t PayloadBytes() const { return payload_bytes_; }
 
  private:
-  std::vector<std::string> pages_;
+  /// Written payloads in write order, so first pages ascend.
+  std::vector<PageId> first_pages_;
+  std::vector<std::string> payloads_;
+  size_t num_pages_ = 0;
   uint64_t payload_bytes_ = 0;
 };
 

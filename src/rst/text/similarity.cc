@@ -35,12 +35,8 @@ double Cosine(const TermVector& a, const TermVector& b) {
 /// Cauchy–Schwarz leg keeps the bound far below 1 even when intersection
 /// vectors are empty — without it, node-level pruning in the RSTkNN
 /// branch-and-bound never fires (DESIGN.md §3.1).
-double ExtendedJaccardMax(const SummarySpan& a, const SummarySpan& b,
-                          EjBoundMode mode) {
-  const double x = Dot(a.uni, b.uni);
+double ExtendedJaccardMax(double x, double na, double nb, EjBoundMode mode) {
   if (x <= 0.0) return 0.0;  // no shared term anywhere in the two groups
-  const double na = a.intr.norm_squared;
-  const double nb = b.intr.norm_squared;
   double den;
   if (na * nb >= x * x) {
     den = na + nb - x;  // A+B ≥ 2√(AB) ≥ 2x, so den ≥ x > 0
@@ -56,26 +52,25 @@ double ExtendedJaccardMax(const SummarySpan& a, const SummarySpan& b,
   return Clamp01(x / den);
 }
 
-double ExtendedJaccardMin(const SummarySpan& a, const SummarySpan& b) {
-  const double x = Dot(a.intr, b.intr);
+/// Lower bound of EJ over the two groups from x = <A.intr, B.intr> and the
+/// union norms.
+double ExtendedJaccardMin(double x, double ua, double ub) {
   if (x <= 0.0) return 0.0;
-  const double den = a.uni.norm_squared + b.uni.norm_squared - x;
+  const double den = ua + ub - x;
   if (den <= 0.0) return 1.0;  // unreachable with x <= den by Cauchy–Schwarz
   return Clamp01(x / den);
 }
 
-double CosineMax(const SummarySpan& a, const SummarySpan& b) {
-  const double x = Dot(a.uni, b.uni);
+double CosineMax(double x, double na, double nb) {
   if (x <= 0.0) return 0.0;
-  const double n2 = a.intr.norm_squared * b.intr.norm_squared;
+  const double n2 = na * nb;
   if (n2 <= 0.0) return 1.0;  // some doc may be ~parallel; cannot tighten
   return Clamp01(x / std::sqrt(n2));
 }
 
-double CosineMin(const SummarySpan& a, const SummarySpan& b) {
-  const double x = Dot(a.intr, b.intr);
+double CosineMin(double x, double ua, double ub) {
   if (x <= 0.0) return 0.0;
-  const double n2 = a.uni.norm_squared * b.uni.norm_squared;
+  const double n2 = ua * ub;
   RST_DCHECK_GT(n2, 0.0);
   return Clamp01(x / std::sqrt(n2));
 }
@@ -199,27 +194,49 @@ double TextSimilarity::Sim(const TermVector& object,
 
 double TextSimilarity::MaxSim(const SummarySpan& object,
                               const SummarySpan& user) const {
-  switch (measure_) {
-    case TextMeasure::kExtendedJaccard:
-      return ExtendedJaccardMax(object, user, ej_bound_);
-    case TextMeasure::kCosine:
-      return CosineMax(object, user);
-    case TextMeasure::kSum:
-      return SumBound(object, user, /*upper=*/true);
+  if (measure_ == TextMeasure::kSum) {
+    return SumBound(object, user, /*upper=*/true);
   }
-  return 1.0;
+  return MaxSimFromDot(Dot(object.uni, user.uni), object.intr.norm_squared,
+                       user.intr.norm_squared);
 }
 
 double TextSimilarity::MinSim(const SummarySpan& object,
                               const SummarySpan& user) const {
+  if (measure_ == TextMeasure::kSum) {
+    return SumBound(object, user, /*upper=*/false);
+  }
+  return MinSimFromDot(Dot(object.intr, user.intr), object.uni.norm_squared,
+                       user.uni.norm_squared);
+}
+
+double TextSimilarity::MaxSimFromDot(double uni_dot, double object_intr_norm_sq,
+                                     double user_intr_norm_sq) const {
   switch (measure_) {
     case TextMeasure::kExtendedJaccard:
-      return ExtendedJaccardMin(object, user);
+      return ExtendedJaccardMax(uni_dot, object_intr_norm_sq,
+                                user_intr_norm_sq, ej_bound_);
     case TextMeasure::kCosine:
-      return CosineMin(object, user);
+      return CosineMax(uni_dot, object_intr_norm_sq, user_intr_norm_sq);
     case TextMeasure::kSum:
-      return SumBound(object, user, /*upper=*/false);
+      break;
   }
+  RST_CHECK(false) << "the kSum bound is not a function of dot products";
+  return 1.0;
+}
+
+double TextSimilarity::MinSimFromDot(double intr_dot, double object_uni_norm_sq,
+                                     double user_uni_norm_sq) const {
+  switch (measure_) {
+    case TextMeasure::kExtendedJaccard:
+      return ExtendedJaccardMin(intr_dot, object_uni_norm_sq,
+                                user_uni_norm_sq);
+    case TextMeasure::kCosine:
+      return CosineMin(intr_dot, object_uni_norm_sq, user_uni_norm_sq);
+    case TextMeasure::kSum:
+      break;
+  }
+  RST_CHECK(false) << "the kSum bound is not a function of dot products";
   return 0.0;
 }
 

@@ -133,6 +133,18 @@ class TextSimilarity {
     return MinSim(AsSpan(object), AsSpan(user));
   }
 
+  /// The dot form of the two bounds, for extended Jaccard and cosine (kSum
+  /// is a keyword-set ratio, not a function of dots; RST_CHECK). MaxSim is
+  /// MaxSimFromDot(<object.uni, user.uni>, |object.intr|², |user.intr|²) and
+  /// MinSim is MinSimFromDot(<object.intr, user.intr>, |object.uni|²,
+  /// |user.uni|²): one formula per measure, so a caller that gets the dots
+  /// another way (the frozen tree's per-node postings) computes bit-identical
+  /// bounds.
+  double MaxSimFromDot(double uni_dot, double object_intr_norm_sq,
+                       double user_intr_norm_sq) const;
+  double MinSimFromDot(double intr_dot, double object_uni_norm_sq,
+                       double user_uni_norm_sq) const;
+
  private:
   double CorpusMax(TermId t) const {
     return (corpus_max_ && t < corpus_max_->size()) ? (*corpus_max_)[t] : 0.0;

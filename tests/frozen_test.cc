@@ -13,6 +13,8 @@
 #include "rst/data/generators.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/rstknn/rstknn.h"
+#include "rst/storage/codec.h"
+#include "rst/storage/varint.h"
 
 namespace rst {
 namespace {
@@ -165,6 +167,130 @@ TEST(FrozenTreeTest, PayloadsMatchIurTreeByteForByte) {
   EXPECT_EQ(root_frz.first_page, root_ptr.first_page);
   EXPECT_EQ(root_frz.num_pages, root_ptr.num_pages);
   EXPECT_EQ(root_frz.bytes, root_ptr.bytes);
+}
+
+TEST(FrozenTreeTest, FreezeSharesTheFinalizedPageStore) {
+  Fixture f(200, /*clustered=*/true);
+  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
+  ASSERT_TRUE(frozen.has_payloads());
+  EXPECT_EQ(&frozen.page_store(), &f.tree.page_store());
+  const uint64_t bytes = frozen.IndexBytes();
+  const size_t pages = frozen.page_store().num_pages();
+
+  // Churn and re-finalize: the tree moves to a fresh store; the snapshot
+  // keeps the one its handles point into, unchanged and readable.
+  for (ObjectId id = 0; id < 20; ++id) {
+    ASSERT_TRUE(f.tree.Delete(id, f.dataset.object(id).loc).ok());
+  }
+  for (ObjectId id = 0; id < 20; ++id) {
+    const StObject& o = f.dataset.object(id);
+    f.tree.Insert(id, o.loc, &o.doc, f.cluster_of[id]);
+  }
+  f.tree.FinalizeStorage();
+  EXPECT_NE(&frozen.page_store(), &f.tree.page_store());
+  EXPECT_EQ(frozen.IndexBytes(), bytes);
+  EXPECT_EQ(frozen.page_store().num_pages(), pages);
+  for (uint32_t n = 0; n < frozen.num_nodes(); ++n) {
+    std::string payload;
+    EXPECT_TRUE(frozen.page_store()
+                    .Read(frozen.invfile_handle(n), &payload, nullptr)
+                    .ok());
+    EXPECT_EQ(payload.size(), frozen.invfile_handle(n).bytes);
+  }
+}
+
+TEST(FrozenTreeTest, SubtreeEndsAreThePreorderIntervals) {
+  const Fixture f(300);
+  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
+  // parent[n] from the child links; Contains must be exactly ancestry.
+  std::vector<uint32_t> parent(frozen.num_nodes(),
+                               frozen::FrozenTree::kNoNode);
+  for (uint32_t e = 0; e < frozen.num_entries(); ++e) {
+    if (!frozen.IsObject(e)) {
+      for (uint32_t n = 0; n < frozen.num_nodes(); ++n) {
+        if (e >= frozen.EntryBegin(n) &&
+            e < frozen.EntryBegin(n) + frozen.EntryCount(n)) {
+          parent[frozen.Child(e)] = n;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(frozen.SubtreeEnd(frozen.root()), frozen.num_nodes());
+  for (uint32_t a = 0; a < frozen.num_nodes(); ++a) {
+    for (uint32_t b = 0; b < frozen.num_nodes(); ++b) {
+      bool ancestor = false;
+      for (uint32_t x = b; x != frozen::FrozenTree::kNoNode; x = parent[x]) {
+        ancestor = ancestor || x == a;
+      }
+      EXPECT_EQ(frozen.Contains(a, b), ancestor) << a << " " << b;
+    }
+    EXPECT_FALSE(frozen.Contains(a, frozen::FrozenTree::kNoNode));
+  }
+  for (uint32_t e = 0; e < frozen.num_entries(); ++e) {
+    if (!frozen.IsObject(e)) continue;
+    const uint32_t leaf = frozen.LeafOf(frozen.ObjectIdOf(e));
+    ASSERT_NE(leaf, frozen::FrozenTree::kNoNode);
+    EXPECT_GE(e, frozen.EntryBegin(leaf));
+    EXPECT_LT(e, frozen.EntryBegin(leaf) + frozen.EntryCount(leaf));
+  }
+  EXPECT_EQ(frozen.LeafOf(100000), frozen::FrozenTree::kNoNode);
+}
+
+/// A root with two one-object leaves, serialized by hand; with
+/// `swap_children` the root's entries link to the leaves in reverse, which
+/// passes every check but preorder numbering.
+std::string TwoLeafSnapshot(bool swap_children) {
+  std::string out = "RSTF";
+  PutVarint32(&out, frozen::FrozenTree::kFormatVersion);
+  out.push_back(0);  // flags: unclustered, no payloads
+  PutVarint64(&out, 2);  // objects
+  PutVarint32(&out, 3);  // nodes
+  PutVarint32(&out, 4);  // entries
+  PutVarint32(&out, 0);  // clusters
+  PutVarint64(&out, 1);  // pool terms
+  const uint32_t nodes[3][3] = {{0, 0, 2}, {1, 2, 1}, {1, 3, 1}};
+  for (const auto& node : nodes) {
+    out.push_back(static_cast<char>(node[0]));
+    PutVarint32(&out, node[1]);
+    PutVarint32(&out, node[2]);
+  }
+  for (uint32_t e = 0; e < 4; ++e) {
+    for (double v : {0.0, 0.0, 1.0, 1.0}) PutDouble(&out, v);
+    PutVarint32(&out, e < 2 ? 0 : e - 1);  // object id + 1
+    const uint32_t child = (e == 0) != swap_children ? 1 : 2;
+    PutVarint32(&out, e < 2 ? child + 1 : 0);  // child node + 1
+    PutVarint32(&out, e < 2 ? 0 : 1);          // level
+    for (int side = 0; side < 2; ++side) {     // uni and intr: pool[0, 1)
+      PutVarint64(&out, 0);
+      PutVarint32(&out, 1);
+    }
+    PutVarint32(&out, 1);  // count
+    PutVarint32(&out, 0);  // cluster begin
+    PutVarint32(&out, 0);  // cluster count
+  }
+  PutVarint32(&out, 3);
+  PutFloat(&out, 0.5f);
+  uint64_t h = 1469598103934665603ULL;
+  for (char c : out) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  for (int b = 0; b < 8; ++b) {
+    out.push_back(static_cast<char>((h >> (8 * b)) & 0xFF));
+  }
+  return out;
+}
+
+TEST(FrozenSerializationTest, RejectsNodeNumberingThatIsNotPreorder) {
+  const Result<frozen::FrozenTree> good =
+      frozen::FrozenTree::Deserialize(TwoLeafSnapshot(false));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good.value().SubtreeEnd(0), 3u);
+  const Result<frozen::FrozenTree> bad =
+      frozen::FrozenTree::Deserialize(TwoLeafSnapshot(true));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("preorder"), std::string::npos)
+      << bad.status().ToString();
 }
 
 // A frozen search through a BufferPool (real reads of the serialized

@@ -242,6 +242,17 @@ TEST(ReadJournalTest, RejectsAlphaOutsideUnitInterval) {
   std::remove(path.c_str());
 }
 
+TEST(ReadJournalTest, RejectsSumMeasure) {
+  const std::string path = TempPath("rst_replay_sum_measure.jsonl");
+  std::string header = HeaderLine("\"version\":2,\"alpha\":0.5,");
+  header.replace(header.find("\"ej\""), 4, "\"sum\"");
+  ASSERT_TRUE(WriteStringToFile(path, header).ok());
+  const Result<obs::JournalFile> loaded = obs::ReadJournal(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("sum"), std::string::npos);
+  std::remove(path.c_str());
+}
+
 TEST(ReadJournalTest, RejectsRecordBeforeHeader) {
   const std::string path = TempPath("rst_replay_headerless.jsonl");
   ASSERT_TRUE(WriteStringToFile(

@@ -98,6 +98,59 @@ TEST(RstknnTest, KGreaterThanDatasetReportsAll) {
   EXPECT_EQ(got.answers.size(), 39u);  // everyone except the query itself
 }
 
+// An object has at most |D| − 1 − [self ∈ D] competitors. At k above that
+// every object but self is an answer and the probe search returns them with
+// no probe; at or below it the search probes as usual. Both must match brute
+// force on IUR and CIUR trees.
+TEST(RstknnTest, LargeKShortcutAppliesExactlyWhenCompetitorsRunOut) {
+  FlickrLikeConfig config;
+  config.num_objects = 90;
+  config.vocab_size = 200;
+  config.seed = 41;
+  const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
+  std::vector<TermVector> docs;
+  for (const StObject& o : d.objects()) docs.push_back(o.doc);
+  ClusteringOptions copts;
+  copts.num_clusters = 4;
+  const ClusteringResult clusters = ClusterDocuments(docs, copts);
+  TextSimilarity sim(TextMeasure::kExtendedJaccard);
+  StScorer scorer(&sim, {0.5, d.max_dist()});
+  const frozen::FrozenTree iur =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
+  const frozen::FrozenTree ciur = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(d, {}, &clusters.assignment));
+  const TermVector adhoc = TermVector::FromUnsorted({{1, 0.7f}, {9, 0.4f}});
+  const size_t n = d.size();
+  for (const frozen::FrozenTree* tree : {&iur, &ciur}) {
+    const RstknnSearcher searcher(tree, &d, &scorer);
+    for (size_t k : {n - 2, n - 1, n, n + 1}) {
+      const StObject& qobj = d.object(17);
+      const RstknnQuery self_query{qobj.loc, &qobj.doc, k, 17};
+      const RstknnQuery adhoc_query{Point{40, 60}, &adhoc, k,
+                                    IurTree::kNoObject};
+      // Competitors per object: n − 2 with self in D, n − 1 without.
+      const std::pair<const RstknnQuery*, size_t> cases[] = {
+          {&self_query, n - 2}, {&adhoc_query, n - 1}};
+      for (const auto& [query, competitors] : cases) {
+        const RstknnResult got = searcher.Search(*query);
+        EXPECT_EQ(got.answers, BruteForceRstknn(d, scorer, *query))
+            << "k=" << k << " clustered=" << tree->clustered();
+        EXPECT_EQ(got.stats.probes == 0, competitors < k)
+            << "k=" << k << " competitors=" << competitors;
+      }
+    }
+  }
+}
+
+TEST(RstknnDeathTest, SearcherRejectsSumMeasure) {
+  Fixture f(30, TextMeasure::kExtendedJaccard, 0.5, 5);
+  const std::vector<float> corpus_max(200, 1.0f);
+  const TextSimilarity sum(TextMeasure::kSum, &corpus_max);
+  const StScorer scorer(&sum, {0.5, f.dataset.max_dist()});
+  EXPECT_DEATH(RstknnSearcher(&f.frozen, &f.dataset, &scorer),
+               "normalized_sum");
+}
+
 TEST(RstknnTest, ClusteredTreeAndPoliciesAgree) {
   FlickrLikeConfig config;
   config.num_objects = 400;

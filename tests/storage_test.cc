@@ -159,6 +159,55 @@ TEST(PageStoreTest, EmptyPayload) {
   EXPECT_TRUE(out.empty());
 }
 
+TEST(PageStoreTest, PayloadsAtPageBoundariesKeepPageAccounting) {
+  PageStore store;
+  IoStats stats;
+  const size_t sizes[] = {0, 1, PageStore::kPageSize, PageStore::kPageSize + 1};
+  const uint32_t pages[] = {1, 1, 1, 2};
+  std::vector<PageHandle> handles;
+  uint64_t payload = 0;
+  PageId next_page = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    const PageHandle h =
+        store.Write(std::string(sizes[i], static_cast<char>('a' + i)));
+    EXPECT_EQ(h.first_page, next_page);
+    EXPECT_EQ(h.num_pages, pages[i]);
+    EXPECT_EQ(h.bytes, sizes[i]);
+    next_page += h.num_pages;
+    payload += sizes[i];
+    handles.push_back(h);
+  }
+  EXPECT_EQ(store.num_pages(), 5u);
+  EXPECT_EQ(store.TotalBytes(), 5u * PageStore::kPageSize);
+  // Backing memory is the payloads at their own size, not padded pages.
+  EXPECT_EQ(store.PayloadBytes(), payload);
+  std::string out;
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(store.Read(handles[i], &out, &stats).ok());
+    EXPECT_EQ(out, std::string(sizes[i], static_cast<char>('a' + i)));
+  }
+  // IoStats charges blocks by bytes: 0 + 1 + 1 + 2.
+  EXPECT_EQ(stats.payload_bytes, payload);
+  EXPECT_EQ(stats.payload_blocks, 4u);
+}
+
+TEST(PageStoreTest, HandleThatDoesNotStartAPayloadIsAnError) {
+  PageStore store;
+  store.Write(std::string(10, 'x'));
+  const PageHandle two_pages =
+      store.Write(std::string(PageStore::kPageSize + 1, 'y'));
+  std::string out;
+  PageHandle middle = two_pages;
+  middle.first_page += 1;  // the second page of a two-page payload
+  middle.num_pages = 1;
+  middle.bytes = 1;
+  EXPECT_FALSE(store.Read(middle, &out, nullptr).ok());
+  PageHandle wrong_size = two_pages;
+  wrong_size.bytes -= 1;
+  EXPECT_FALSE(store.Read(wrong_size, &out, nullptr).ok());
+  EXPECT_TRUE(store.Read(two_pages, &out, nullptr).ok());
+}
+
 TEST(BufferPoolTest, HitsDoNotChargeIo) {
   PageStore store;
   const PageHandle h = store.Write(std::string(10, 'x'));

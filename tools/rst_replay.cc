@@ -129,8 +129,8 @@ WeightingOptions WeightingFromHeader(const obs::JournalHeader& header) {
 }
 
 TextMeasure MeasureFromHeader(const obs::JournalHeader& header) {
+  // ReadJournal rejects "sum": RSTkNN bounds have no kSum form.
   if (header.measure == "cos") return TextMeasure::kCosine;
-  if (header.measure == "sum") return TextMeasure::kSum;
   return TextMeasure::kExtendedJaccard;
 }
 

@@ -662,6 +662,12 @@ int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
 }
 
 int CmdRstknn(const Flags& flags) {
+  if (ParseMeasure(flags, TextMeasure::kExtendedJaccard) == TextMeasure::kSum) {
+    std::fprintf(stderr,
+                 "--measure sum is not an RSTkNN measure: use ej or cos "
+                 "(sum is for maxbrst)\n");
+    return 2;
+  }
   const std::optional<size_t> threads = GetThreadCount(flags, "threads");
   const std::optional<size_t> build_threads =
       GetThreadCount(flags, "build-threads");
