@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -210,10 +211,11 @@ TEST_P(PostingsParityTest, DotsMatchAfterSaveAndLoad) {
   const Dataset dataset = MakeData(250, 13);
   std::vector<uint32_t> cluster_of;
   const IurTree tree = BuildTree(dataset, GetParam(), &cluster_of);
-  const std::string bytes =
-      frozen::FrozenTree::Freeze(tree).SerializeToString();
-  const Result<frozen::FrozenTree> loaded =
-      frozen::FrozenTree::Deserialize(bytes);
+  const std::string path = ::testing::TempDir() + "/postings_test_" +
+                           (GetParam() ? "ciur" : "iur") + ".rstf";
+  ASSERT_TRUE(frozen::FrozenTree::Freeze(tree).Save(path).ok());
+  const Result<frozen::FrozenTree> loaded = frozen::FrozenTree::Load(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectParity(loaded.value(), dataset);
 }
