@@ -118,7 +118,7 @@ const ExtEnv& CachedExtEnv(const ExtParams& params) {
   if (it != cache->end()) return *it->second;
 
   // rst-lint: allow(raw-new-delete) cached for process lifetime, never freed
-  auto* env = new ExtEnv{Dataset(), IurTree::Build({}, {})};
+  auto* env = new ExtEnv();
   const WeightingOptions weighting{params.weighting, 0.1};
   if (params.yelp) {
     YelpLikeConfig config;
@@ -129,7 +129,8 @@ const ExtEnv& CachedExtEnv(const ExtParams& params) {
     config.num_objects = params.num_objects;
     env->dataset = GenFlickrLike(config, weighting);
   }
-  env->tree = IurTree::BuildFromDataset(env->dataset, {});
+  env->tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(env->dataset, {}));
   (*cache)[key] = env;
   return *env;
 }
@@ -219,16 +220,7 @@ const CoreEnv& CachedCoreEnv(const CoreParams& params) {
   if (it != cache->end()) return *it->second;
 
   // rst-lint: allow(raw-new-delete) cached for process lifetime, never freed
-  auto* env = new CoreEnv{Dataset(),
-                          {},
-                          {},
-                          IurTree::Build({}, {}),
-                          IurTree::Build({}, {}),
-                          IurTree::Build({}, {}),
-                          {},
-                          {},
-                          {},
-                          {}};
+  auto* env = new CoreEnv();
   GeoNamesLikeConfig config;
   config.num_objects = params.num_objects;
   config.seed = params.seed;
@@ -243,13 +235,12 @@ const CoreEnv& CachedCoreEnv(const CoreParams& params) {
   copts.outlier_threshold = 0.15;
   env->clusters_oe = ClusterDocuments(docs, copts).assignment;
 
-  env->iur = IurTree::BuildFromDataset(env->dataset, {});
-  env->ciur = IurTree::BuildFromDataset(env->dataset, {}, &env->clusters);
-  env->ciur_oe =
-      IurTree::BuildFromDataset(env->dataset, {}, &env->clusters_oe);
-  env->frozen_iur = frozen::FrozenTree::Freeze(env->iur);
-  env->frozen_ciur = frozen::FrozenTree::Freeze(env->ciur);
-  env->frozen_ciur_oe = frozen::FrozenTree::Freeze(env->ciur_oe);
+  env->frozen_iur = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(env->dataset, {}));
+  env->frozen_ciur = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(env->dataset, {}, &env->clusters));
+  env->frozen_ciur_oe = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(env->dataset, {}, &env->clusters_oe));
   env->queries =
       SampleQueryObjects(env->dataset, params.num_queries, params.seed + 3);
   (*cache)[key] = env;
@@ -310,7 +301,7 @@ CorePoint RunCorePoint(const CoreParams& params, bool run_baseline) {
   point.ciur_te = run_variant(env.frozen_ciur_oe, te);
 
   if (run_baseline) {
-    PrecomputeBaseline baseline(&env.iur, &env.dataset, &scorer);
+    PrecomputeBaseline baseline(&env.frozen_iur, &env.dataset, &scorer);
     Stopwatch build_timer;
     baseline.Build(params.k);
     point.baseline_build_ms = build_timer.ElapsedMillis();

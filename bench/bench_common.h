@@ -109,7 +109,7 @@ ExtPoint RunExtPoint(const ExtParams& params, bool run_selection = true,
 /// for every sweep value is wasteful when only user-side parameters change.
 struct ExtEnv {
   Dataset dataset;
-  IurTree tree;
+  frozen::FrozenTree tree;
 };
 const ExtEnv& CachedExtEnv(const ExtParams& params);
 
@@ -145,16 +145,13 @@ struct CorePoint {
 };
 
 /// The prebuilt environment for one core configuration (shared across
-/// sweeps over k / α which do not change the indexes). Each tree is frozen
-/// once; RSTkNN searches the frozen_* snapshots, while the IurTrees serve
-/// the precompute baseline and the index-size columns.
+/// sweeps over k / α which do not change the indexes). Each tree is built,
+/// frozen once and dropped: every query and the index-size columns read the
+/// frozen_* snapshots.
 struct CoreEnv {
   Dataset dataset;
   std::vector<uint32_t> clusters;
   std::vector<uint32_t> clusters_oe;
-  IurTree iur;
-  IurTree ciur;
-  IurTree ciur_oe;
   frozen::FrozenTree frozen_iur;
   frozen::FrozenTree frozen_ciur;
   frozen::FrozenTree frozen_ciur_oe;

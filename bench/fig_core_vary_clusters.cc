@@ -17,7 +17,7 @@ int main() {
     const CoreEnv& env = CachedCoreEnv(params);
     PrintRow({FmtInt(m), Fmt(p.ciur.query_ms), Fmt(p.ciur_oe.query_ms),
               Fmt(p.ciur_te.query_ms), Fmt(p.ciur.io, 0), Fmt(p.ciur_te.io, 0),
-              Fmt(static_cast<double>(env.ciur.IndexBytes()) / (1 << 20))});
+              Fmt(static_cast<double>(env.frozen_ciur.IndexBytes()) / (1 << 20))});
   }
   EmitFigureMetrics("fig_core_vary_clusters");
   return 0;

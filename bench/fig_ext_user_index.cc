@@ -61,7 +61,8 @@ void RunScenario(const rst::bench::ExtParams& params, double offset) {
       IurTreeOptions uopts;
       uopts.max_entries = 16;
       uopts.min_entries = 6;
-      const IurTree user_tree = IurTree::BuildFromUsers(gen.users, uopts);
+      const frozen::FrozenTree user_tree = frozen::FrozenTree::Freeze(
+          IurTree::BuildFromUsers(gen.users, uopts));
       timer.Restart();
       MiurMaxBrstSolver miur(&env.tree, &env.dataset, &scorer, &user_tree,
                              &gen.users);

@@ -57,7 +57,7 @@ BENCHMARK(BM_RTreeKnn)->Arg(1)->Arg(10)->Arg(100);
 
 struct TopKEnv {
   Dataset dataset;
-  IurTree tree = IurTree::Build({}, {});
+  frozen::FrozenTree tree;
 
   static const TopKEnv& Get() {
     static const TopKEnv* env = [] {
@@ -66,7 +66,8 @@ struct TopKEnv {
       FlickrLikeConfig config;
       config.num_objects = 20000;
       e->dataset = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-      e->tree = IurTree::BuildFromDataset(e->dataset, {});
+      e->tree = frozen::FrozenTree::Freeze(
+          IurTree::BuildFromDataset(e->dataset, {}));
       return e;
     }();
     return *env;

@@ -55,7 +55,7 @@ int main() {
   }
   {
     Stopwatch timer;
-    PrecomputeBaseline baseline(&env.iur, &env.dataset, &scorer);
+    PrecomputeBaseline baseline(&env.frozen_iur, &env.dataset, &scorer);
     IoStats io;
     baseline.Build(params.k, &io);
     PrintRow({"B-precompute", Fmt(timer.ElapsedMillis()), "-", "-", "-"});

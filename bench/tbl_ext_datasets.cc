@@ -43,7 +43,7 @@ int main() {
               FmtInt(row.total_unique_terms),
               Fmt(row.avg_unique_terms_per_object, 1),
               FmtInt(row.total_terms),
-              Fmt(static_cast<double>(env.iur.IndexBytes()) / (1 << 20))});
+              Fmt(static_cast<double>(env.frozen_iur.IndexBytes()) / (1 << 20))});
   }
   EmitFigureMetrics("tbl_ext_datasets");
   return 0;

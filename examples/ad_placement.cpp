@@ -16,7 +16,8 @@ int main() {
   FlickrLikeConfig config;
   config.num_objects = 10000;
   Dataset content = GenFlickrLike(config, {Weighting::kLanguageModel, 0.1});
-  const IurTree index = IurTree::BuildFromDataset(content, {});
+  const frozen::FrozenTree index =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(content, {}));
 
   // An audience of users in one neighbourhood, with their interest keywords;
   // the pool of those keywords is what the ad may be tagged with.

@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   FlickrLikeConfig config;
   config.num_objects = 20000;
   Dataset dataset = GenFlickrLike(config, {Weighting::kLanguageModel, 0.1});
-  const IurTree index = IurTree::BuildFromDataset(dataset, {});
+  const frozen::FrozenTree index =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
 
   UserGenConfig ucfg;
   ucfg.num_users = num_users;

@@ -1,7 +1,7 @@
 // Quickstart: build a tiny spatial-textual collection by hand, index it with
-// an IUR-tree, and run the two query types of the library — a top-k
-// spatial-keyword query on the tree and a reverse spatial-textual kNN
-// (RSTkNN) query on its frozen snapshot.
+// an IUR-tree, freeze it, and run the two query types of the library on the
+// frozen snapshot — a top-k spatial-keyword query and a reverse
+// spatial-textual kNN (RSTkNN) query.
 //
 //   $ ./quickstart
 
@@ -40,16 +40,18 @@ int main() {
   }
   dataset.Finalize({Weighting::kTfIdf, 0.1});
 
-  // --- 2. Index it. ---
+  // --- 2. Index it: build the IUR-tree, then freeze it into the flat
+  //         snapshot every query reads (re-freeze after Insert/Delete). ---
   const IurTree tree = IurTree::BuildFromDataset(dataset, {});
   std::printf("indexed %zu objects, tree height %zu, %zu nodes, %llu bytes\n\n",
               tree.size(), tree.height(), tree.NodeCount(),
               static_cast<unsigned long long>(tree.IndexBytes()));
+  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
 
   // --- 3. Top-k: the 3 most relevant restaurants for a seafood lover. ---
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {/*alpha=*/0.5, dataset.max_dist()});
-  TopKSearcher topk(&tree, &dataset, &scorer);
+  TopKSearcher topk(&snapshot, &dataset, &scorer);
 
   const TermVector craving =
       TermVector::FromTerms(vocab.TokenizeAndAdd("seafood sushi"));
@@ -64,9 +66,7 @@ int main() {
               static_cast<unsigned long long>(io.TotalIos()));
 
   // --- 4. RSTkNN: who considers "Ocean Catch" one of their 2 most similar
-  //         competitors? (the 2011 paper's reverse query) RSTkNN searches
-  //         a frozen snapshot of the tree; re-freeze after Insert/Delete. ---
-  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
+  //         competitors? (the 2011 paper's reverse query) ---
   RstknnSearcher rst(&snapshot, &dataset, &scorer);
   const ObjectId ocean_catch = 5;
   const StObject& q = dataset.object(ocean_catch);

@@ -9,6 +9,7 @@
 #include "rst/common/check.h"
 #include "rst/common/file_util.h"
 #include "rst/common/stopwatch.h"
+#include "rst/iurtree/cluster.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
 #include "rst/obs/trace.h"
@@ -935,6 +936,54 @@ Status FrozenTree::CheckInvariants() const {
     if (!summary_ok.ok()) return summary_ok;
   }
   return Status::Ok();
+}
+
+TextBounds SummaryTextBounds(const FrozenTree& tree, uint32_t e,
+                             const SummarySpan& other,
+                             const TextSimilarity& sim) {
+  const uint32_t nc = tree.NumClusters(e);
+  if (nc == 0) {
+    const SummarySpan s = tree.Summary(e);
+    return {sim.MinSim(s, other), sim.MaxSim(s, other)};
+  }
+  TextBounds bounds{1.0, 0.0};
+  for (uint32_t i = 0; i < nc; ++i) {
+    const SummarySpan s = tree.ClusterSummary(e, i);
+    bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(s, other));
+    bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(s, other));
+  }
+  return bounds;
+}
+
+TextBounds PairTextBounds(const FrozenTree& tree, uint32_t a, uint32_t b,
+                          const TextSimilarity& sim) {
+  const uint32_t na = tree.NumClusters(a);
+  const uint32_t nb = tree.NumClusters(b);
+  if (na == 0 && nb == 0) {
+    const SummarySpan sa = tree.Summary(a);
+    const SummarySpan sb = tree.Summary(b);
+    return {sim.MinSim(sa, sb), sim.MaxSim(sa, sb)};
+  }
+  TextBounds bounds{1.0, 0.0};
+  for (uint32_t i = 0; i < std::max<uint32_t>(na, 1); ++i) {
+    const SummarySpan sa = na == 0 ? tree.Summary(a) : tree.ClusterSummary(a, i);
+    for (uint32_t j = 0; j < std::max<uint32_t>(nb, 1); ++j) {
+      const SummarySpan sb =
+          nb == 0 ? tree.Summary(b) : tree.ClusterSummary(b, j);
+      bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(sa, sb));
+      bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(sa, sb));
+    }
+  }
+  return bounds;
+}
+
+double ClusterEntropyOf(const FrozenTree& tree, uint32_t e) {
+  const uint32_t nc = tree.NumClusters(e);
+  if (nc == 0) return 0.0;
+  std::vector<uint32_t> counts;
+  counts.reserve(nc);
+  for (uint32_t i = 0; i < nc; ++i) counts.push_back(tree.ClusterCount(e, i));
+  return ClusterEntropy(counts);
 }
 
 }  // namespace frozen

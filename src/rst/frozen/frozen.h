@@ -21,6 +21,12 @@ namespace obs {
 class QueryTrace;
 }  // namespace obs
 
+/// Min/max text-similarity bounds of an entry against a summary.
+struct TextBounds {
+  double min_sim = 0.0;
+  double max_sim = 1.0;
+};
+
 namespace frozen {
 
 /// (offset, len) reference into the shared term-weight pool.
@@ -46,8 +52,9 @@ struct ClusterRef {
   SummaryRef summary;
 };
 
-/// An immutable, pointer-free snapshot of a built IUR-/CIUR-tree and the only
-/// layout RstknnSearcher searches: SoA node/entry arrays indexed by a
+/// An immutable, pointer-free snapshot of a built IUR-/CIUR-tree (objects, or
+/// MIUR users) and the one layout every query reads — RSTkNN, top-k, the
+/// precompute baseline and MaxBRSTkNN's joint top-k and MIUR: SoA node/entry arrays indexed by a
 /// deterministic preorder walk that also numbers entries for EXPLAIN (entry
 /// index i carries explain id i + 1), with every term weight —
 /// union/intersection summaries, per-cluster summaries, leaf documents —
@@ -256,6 +263,22 @@ class FrozenTree {
   bool clustered_ = false;
   bool has_payloads_ = false;
 };
+
+/// Cluster-aware text bounds of entry `e` against a plain summary (a query
+/// document or a super-user): with per-cluster summaries the bound is the
+/// min/max over clusters, which is tighter than the blended summary's bound.
+TextBounds SummaryTextBounds(const FrozenTree& tree, uint32_t e,
+                             const SummarySpan& other,
+                             const TextSimilarity& sim);
+
+/// Text bounds between entries `a` and `b` (cluster-aware on both sides; an
+/// unclustered side counts as one blended cluster).
+TextBounds PairTextBounds(const FrozenTree& tree, uint32_t a, uint32_t b,
+                          const TextSimilarity& sim);
+
+/// TE expansion priority: entropy of entry `e`'s cluster-count distribution
+/// (0 for unclustered entries).
+double ClusterEntropyOf(const FrozenTree& tree, uint32_t e);
 
 }  // namespace frozen
 }  // namespace rst

@@ -7,7 +7,6 @@
 #include "rst/common/check.h"
 #include "rst/common/stopwatch.h"
 #include "rst/exec/thread_pool.h"
-#include "rst/iurtree/cluster.h"
 #include "rst/iurtree/node_arena.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
@@ -613,14 +612,6 @@ size_t IurTree::NodeCount() const {
 
 uint64_t IurTree::IndexBytes() const { return page_store_->PayloadBytes(); }
 
-void IurTree::ChargeAccess(const Node* node, IoStats* stats) const {
-  if (stats == nullptr) return;
-  stats->AddNodeRead();
-  if (!storage_dirty_ && node->invfile_handle.valid()) {
-    stats->AddPayloadRead(node->invfile_handle.bytes);
-  }
-}
-
 namespace {
 
 /// Formats "depth D, entry I" for invariant-violation messages so a failed
@@ -813,54 +804,6 @@ Status IurTree::CheckInvariants(
                               std::to_string(size_));
   }
   return Status::Ok();
-}
-
-TextBounds EntryTextBounds(const IurTree::Entry& entry,
-                           const TextSummary& other,
-                           const TextSimilarity& sim) {
-  if (entry.clusters.empty()) {
-    return {sim.MinSim(entry.summary, other), sim.MaxSim(entry.summary, other)};
-  }
-  TextBounds bounds{1.0, 0.0};
-  for (const auto& [cluster_id, summary] : entry.clusters) {
-    bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(summary, other));
-    bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(summary, other));
-  }
-  return bounds;
-}
-
-TextBounds EntryPairTextBounds(const IurTree::Entry& a, const IurTree::Entry& b,
-                               const TextSimilarity& sim) {
-  if (a.clusters.empty() && b.clusters.empty()) {
-    return {sim.MinSim(a.summary, b.summary), sim.MaxSim(a.summary, b.summary)};
-  }
-  // Treat an unclustered side as one blended cluster.
-  const std::vector<std::pair<uint32_t, TextSummary>> blended_a =
-      a.clusters.empty()
-          ? std::vector<std::pair<uint32_t, TextSummary>>{{0, a.summary}}
-          : a.clusters;
-  const std::vector<std::pair<uint32_t, TextSummary>> blended_b =
-      b.clusters.empty()
-          ? std::vector<std::pair<uint32_t, TextSummary>>{{0, b.summary}}
-          : b.clusters;
-  TextBounds bounds{1.0, 0.0};
-  for (const auto& [ca, sa] : blended_a) {
-    for (const auto& [cb, sb] : blended_b) {
-      bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(sa, sb));
-      bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(sa, sb));
-    }
-  }
-  return bounds;
-}
-
-double EntryClusterEntropy(const IurTree::Entry& entry) {
-  if (entry.clusters.empty()) return 0.0;
-  std::vector<uint32_t> counts;
-  counts.reserve(entry.clusters.size());
-  for (const auto& [cluster_id, summary] : entry.clusters) {
-    counts.push_back(summary.count);
-  }
-  return ClusterEntropy(counts);
 }
 
 }  // namespace rst

@@ -11,7 +11,6 @@
 #include "rst/iurtree/arena_array.h"
 #include "rst/storage/buffer_pool.h"
 #include "rst/storage/codec.h"
-#include "rst/storage/io_stats.h"
 #include "rst/storage/page_store.h"
 #include "rst/text/similarity.h"
 
@@ -32,7 +31,11 @@ namespace rst {
 ///
 /// With a clustering assignment supplied at build time the tree becomes the
 /// CIUR-tree: every entry keeps per-cluster summaries, giving much tighter
-/// text bounds on topic-mixed nodes (see EntryTextBounds).
+/// text bounds on topic-mixed nodes.
+///
+/// IurTree is the builder and the Insert/Delete structure only: every query
+/// reads the frozen::FrozenTree snapshot of it (rst/frozen/frozen.h), so a
+/// caller freezes after building and re-freezes after updating.
 struct IurTreeOptions {
   size_t max_entries = 32;
   size_t min_entries = 12;  ///< used by dynamic inserts (split fill)
@@ -43,12 +46,6 @@ struct IurTreeOptions {
   /// ranges of one level array, so the resulting tree is identical at every
   /// thread count. 1 = fully serial (no pool is created).
   size_t build_threads = 1;
-};
-
-/// Min/max text-similarity bounds of a node/entry against a query summary.
-struct TextBounds {
-  double min_sim = 0.0;
-  double max_sim = 1.0;
 };
 
 class NodeArena;  // rst/iurtree/node_arena.h
@@ -157,10 +154,6 @@ class IurTree {
   }
   const NodeArena& arena() const { return *arena_; }
 
-  /// Charges the simulated I/O of opening `node`: one node read plus the
-  /// blocks of its inverted file (papers' methodology; DESIGN.md §3.5).
-  void ChargeAccess(const Node* node, IoStats* stats) const;
-
   /// Deep structural validation for tests: MBRs tight, summaries exactly the
   /// merge of children, counts consistent, leaves at equal depth, cluster
   /// summaries partition the blended summary. `doc_of` maps an item id to
@@ -191,22 +184,6 @@ class IurTree {
   bool clustered_ = false;
   bool storage_dirty_ = true;
 };
-
-/// Text bounds of an entry against a plain summary (e.g. a query document or
-/// a super-user). Cluster-aware: with per-cluster summaries the bound is the
-/// min/max over clusters, which is tighter than the blended summary's bound.
-TextBounds EntryTextBounds(const IurTree::Entry& entry,
-                           const TextSummary& other,
-                           const TextSimilarity& sim);
-
-/// Text bounds between two entries (cluster-aware on both sides).
-TextBounds EntryPairTextBounds(const IurTree::Entry& a,
-                               const IurTree::Entry& b,
-                               const TextSimilarity& sim);
-
-/// TE expansion priority: entropy of the entry's cluster-count distribution
-/// (0 for unclustered entries).
-double EntryClusterEntropy(const IurTree::Entry& entry);
 
 }  // namespace rst
 

@@ -42,7 +42,7 @@ struct TraversalItem {
   double ub;
   bool is_object;
   ObjectId id;
-  const IurTree::Node* node;
+  uint32_t node;  // frozen node index; unused for objects
 
   /// Max-heap by lower bound; objects first on ties, then ascending id.
   bool operator<(const TraversalItem& other) const {
@@ -65,14 +65,16 @@ JointTraversal JointTopKProcessor::Traverse(const SuperUser& super_user,
   if (k == 0 || tree_->size() == 0) return out;
 
   const double alpha = scorer_->options().alpha;
-  auto entry_bounds = [&](const IurTree::Entry& e) -> std::pair<double, double> {
+  const SummarySpan keywords = AsSpan(super_user.keywords);
+  auto entry_bounds = [&](uint32_t e) -> std::pair<double, double> {
     const TextBounds tb =
-        EntryTextBounds(e, super_user.keywords, scorer_->text());
+        frozen::SummaryTextBounds(*tree_, e, keywords, scorer_->text());
+    const Rect& rect = tree_->EntryRect(e);
     const double lb =
-        alpha * scorer_->SpatialSim(MaxDistance(e.rect, super_user.mbr)) +
+        alpha * scorer_->SpatialSim(MaxDistance(rect, super_user.mbr)) +
         (1.0 - alpha) * tb.min_sim;
     const double ub =
-        alpha * scorer_->SpatialSim(MinDistance(e.rect, super_user.mbr)) +
+        alpha * scorer_->SpatialSim(MinDistance(rect, super_user.mbr)) +
         (1.0 - alpha) * tb.max_sim;
     return {lb, ub};
   };
@@ -119,13 +121,14 @@ JointTraversal JointTopKProcessor::Traverse(const SuperUser& super_user,
     // Node: prune when it cannot contain any user's top-k object.
     if (lo.size() == k && item.ub < rsk) continue;
     tree_->ChargeAccess(item.node, stats);
-    for (const IurTree::Entry& e : item.node->entries) {
+    const uint32_t first = tree_->EntryBegin(item.node);
+    for (uint32_t e = first; e < first + tree_->EntryCount(item.node); ++e) {
       const auto [lb, ub] = entry_bounds(e);
       if (lo.size() == k && ub < rsk) continue;  // prune before enqueueing
-      if (e.is_object()) {
-        pq.push({lb, ub, true, e.id, nullptr});
+      if (tree_->IsObject(e)) {
+        pq.push({lb, ub, true, tree_->ObjectIdOf(e), 0});
       } else {
-        pq.push({lb, ub, false, 0, e.child});
+        pq.push({lb, ub, false, 0, tree_->Child(e)});
       }
     }
   }

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "rst/data/dataset.h"
-#include "rst/iurtree/iurtree.h"
+#include "rst/frozen/frozen.h"
 #include "rst/storage/io_stats.h"
 #include "rst/text/similarity.h"
 #include "rst/topk/topk.h"
@@ -13,15 +13,12 @@ namespace rst {
 
 /// A "super-user" (2016 paper §5.2): the MBR of a user group's locations plus
 /// the union/intersection summary of their keyword sets. The root of a MIUR
-/// user tree is exactly a super-user; so is any of its entries.
+/// user tree is exactly the super-user of all its users.
 struct SuperUser {
   Rect mbr;
   TextSummary keywords;
 
   static SuperUser FromUsers(const std::vector<StUser>& users);
-  static SuperUser FromEntry(const IurTree::Entry& entry) {
-    return SuperUser{entry.rect, entry.summary};
-  }
 };
 
 /// Output of the shared tree traversal (Algorithm 1): the candidate object
@@ -49,7 +46,7 @@ struct JointTopKResult {
 };
 
 /// Joint top-k processing (2016 paper §5, Algorithms 1 and 2): traverse the
-/// object MIR-tree once for the whole user group using super-user bounds,
+/// frozen object MIR-tree once for the whole user group using super-user bounds,
 /// then refine each user's exact top-k from the shared LO/RO pools. Each
 /// tree node and object is read at most once regardless of |U|.
 class JointTopKProcessor {
@@ -57,7 +54,7 @@ class JointTopKProcessor {
   /// All referents must outlive the processor. The scorer's text measure is
   /// typically kSum (LM / TF-IDF / keyword overlap); any measure with valid
   /// summary bounds works.
-  JointTopKProcessor(const IurTree* tree, const Dataset* dataset,
+  JointTopKProcessor(const frozen::FrozenTree* tree, const Dataset* dataset,
                      const StScorer* scorer)
       : tree_(tree), dataset_(dataset), scorer_(scorer) {}
 
@@ -82,7 +79,7 @@ class JointTopKProcessor {
  private:
   double UserScore(const StUser& user, ObjectId id) const;
 
-  const IurTree* tree_;
+  const frozen::FrozenTree* tree_;
   const Dataset* dataset_;
   const StScorer* scorer_;
 };

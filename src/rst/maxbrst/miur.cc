@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
@@ -12,13 +10,13 @@ namespace rst {
 
 namespace {
 
-/// An element of a location's candidate list: either a user-tree node
-/// (count() users, bounds from its summary) or a concrete, refined user.
+/// An element of a location's candidate list: either a user-tree node entry
+/// (its Count users, bounds from its summary) or a concrete, refined user.
 struct Elem {
-  const IurTree::Entry* node = nullptr;  // nullptr => concrete user
-  uint32_t user = 0;
+  static constexpr uint32_t kUser = frozen::FrozenTree::kNoNode;
 
-  uint32_t count() const { return node != nullptr ? node->count() : 1; }
+  uint32_t node = kUser;  ///< frozen user-tree entry, or kUser
+  uint32_t user = 0;
 };
 
 }  // namespace
@@ -31,12 +29,15 @@ MiurResult MiurMaxBrstSolver::Solve(const MaxBrstQuery& query,
   const double alpha = scorer_->options().alpha;
   MaxBrstSolver inner(dataset_, scorer_);
 
-  // Root super-user == the whole user set; one shared object-tree traversal.
-  SuperUser su;
-  for (const IurTree::Entry& e : user_tree_->root()->entries) {
-    su.mbr.Extend(e.rect);
-    su.keywords = TextSummary::Merge(su.keywords, e.summary);
-  }
+  const frozen::FrozenTree& user_tree = *user_tree_;
+  auto count = [&user_tree](const Elem& el) -> uint32_t {
+    return el.node != Elem::kUser ? user_tree.Count(el.node) : 1;
+  };
+
+  // Root super-user == the whole user set (union/intersection merges are
+  // exact, so this equals the merge of the root entries); one shared
+  // object-tree traversal.
+  const SuperUser su = SuperUser::FromUsers(users);
   JointTopKProcessor proc(object_tree_, dataset_, scorer_);
   const JointTraversal traversal =
       proc.Traverse(su, query.k, &result.stats.object_io);
@@ -64,18 +65,20 @@ MiurResult MiurMaxBrstSolver::Solve(const MaxBrstQuery& query,
   // Per-node lower bound on every contained user's RS_k: each user's k-th
   // best object scores at least the k-th largest guaranteed LO-object score
   // toward this node (tighter than the global RS_k(u_s)). Cached per node.
-  std::unordered_map<const IurTree::Node*, double> node_rsk_lb;
-  auto node_threshold = [&](const IurTree::Entry& e) -> double {
-    auto it = node_rsk_lb.find(e.child);
-    if (it != node_rsk_lb.end()) return it->second;
+  constexpr double kUnset = -std::numeric_limits<double>::infinity();
+  std::vector<double> node_rsk_lb(user_tree.num_nodes(), kUnset);
+  auto node_threshold = [&](uint32_t e) -> double {
+    double& cached = node_rsk_lb[user_tree.Child(e)];
+    if (cached != kUnset) return cached;
+    const Rect& rect = user_tree.EntryRect(e);
     std::vector<double> mins;
     mins.reserve(traversal.lo.size());
     for (ObjectId oid : traversal.lo) {
       const StObject& obj = dataset_->object(oid);
-      const TextSummary osum = TextSummary::FromDoc(obj.doc);
       mins.push_back(
-          alpha * scorer_->SpatialSim(MaxDistance(obj.loc, e.rect)) +
-          (1.0 - alpha) * scorer_->text().MinSim(osum, e.summary));
+          alpha * scorer_->SpatialSim(MaxDistance(obj.loc, rect)) +
+          (1.0 - alpha) * scorer_->text().MinSim(DocSpan(obj.doc),
+                                                 user_tree.Summary(e)));
     }
     double lb = rsk_super;
     if (mins.size() >= query.k && query.k > 0) {
@@ -83,15 +86,16 @@ MiurResult MiurMaxBrstSolver::Solve(const MaxBrstQuery& query,
                        std::greater<>());
       lb = std::max(lb, mins[query.k - 1]);
     }
-    node_rsk_lb.emplace(e.child, lb);
+    cached = lb;
     return lb;
   };
-  auto node_qualifies = [&](const IurTree::Entry& e, Point loc) {
+  auto node_qualifies = [&](uint32_t e, Point loc) {
     const double threshold = node_threshold(e);
     if (threshold < 0.0) return true;
     const double ub =
-        alpha * scorer_->SpatialSim(MinDistance(loc, e.rect)) +
-        (1.0 - alpha) * scorer_->text().MaxSim(obj_summary, e.summary);
+        alpha * scorer_->SpatialSim(MinDistance(loc, user_tree.EntryRect(e))) +
+        (1.0 - alpha) * scorer_->text().MaxSim(AsSpan(obj_summary),
+                                               user_tree.Summary(e));
     // RS_k(u) >= threshold for every user below e, so nothing in this
     // subtree can be covered at `loc` when the upper bound undercuts it.
     return ub >= threshold;
@@ -99,12 +103,9 @@ MiurResult MiurMaxBrstSolver::Solve(const MaxBrstQuery& query,
   // Cheap per-user RS_k lower bound (k-th best exact score over the shared
   // LO pool) — lets a location disqualify a user without ever computing the
   // user's full top-k ("users pruned"). Lazily cached.
-  std::vector<double> user_rsk_lb(users.size(),
-                                  -std::numeric_limits<double>::infinity());
+  std::vector<double> user_rsk_lb(users.size(), kUnset);
   auto user_threshold_lb = [&](uint32_t uid) -> double {
-    if (user_rsk_lb[uid] != -std::numeric_limits<double>::infinity()) {
-      return user_rsk_lb[uid];
-    }
+    if (user_rsk_lb[uid] != kUnset) return user_rsk_lb[uid];
     // Score the LO pool plus a short prefix of RO (the globally strongest
     // candidates): the k-th largest of any exact-score subset lower-bounds
     // RS_k(u) at a fraction of a full refinement's cost.
@@ -141,26 +142,33 @@ MiurResult MiurMaxBrstSolver::Solve(const MaxBrstQuery& query,
     return ub >= shared.rsk[uid];
   };
 
-  // Initial LU_ℓ lists from the user-tree root entries.
   struct LocationState {
     std::vector<Elem> elems;
     uint64_t count = 0;
     bool done = false;
   };
-  std::vector<LocationState> states(query.locations.size());
-  for (size_t li = 0; li < query.locations.size(); ++li) {
-    const Point loc = query.locations[li];
-    for (const IurTree::Entry& e : user_tree_->root()->entries) {
-      if (e.is_object()) {
-        if (user_qualifies(e.id, loc)) {
-          states[li].elems.push_back({nullptr, e.id});
-          states[li].count += 1;
-        }
+  // Appends the qualifying entries of user-tree node `node` to `elems`.
+  auto add_qualifying = [&](uint32_t node, Point loc, std::vector<Elem>* elems) {
+    const uint32_t first = user_tree.EntryBegin(node);
+    for (uint32_t e = first; e < first + user_tree.EntryCount(node); ++e) {
+      if (user_tree.IsObject(e)) {
+        const uint32_t uid = user_tree.ObjectIdOf(e);
+        if (user_qualifies(uid, loc)) elems->push_back({Elem::kUser, uid});
       } else if (node_qualifies(e, loc)) {
-        states[li].elems.push_back({&e, 0});
-        states[li].count += e.count();
+        elems->push_back({e, 0});
       }
     }
+  };
+  auto recount = [&](LocationState* state) {
+    state->count = 0;
+    for (const Elem& el : state->elems) state->count += count(el);
+  };
+
+  // Initial LU_ℓ lists from the user-tree root entries.
+  std::vector<LocationState> states(query.locations.size());
+  for (size_t li = 0; li < query.locations.size(); ++li) {
+    add_qualifying(user_tree.root(), query.locations[li], &states[li].elems);
+    recount(&states[li]);
     if (states[li].elems.empty()) {
       states[li].done = true;
       ++result.best.stats.locations_pruned;
@@ -168,7 +176,7 @@ MiurResult MiurMaxBrstSolver::Solve(const MaxBrstQuery& query,
   }
   result.stats.user_io.AddNodeRead();  // the user-tree root itself
 
-  std::unordered_set<const IurTree::Node*> charged_nodes;
+  std::vector<uint8_t> charged_nodes(user_tree.num_nodes(), 0);
 
   while (true) {
     // Best-first: the location with the largest remaining upper-bound count.
@@ -188,18 +196,19 @@ MiurResult MiurMaxBrstSolver::Solve(const MaxBrstQuery& query,
     // Find the largest unexpanded node element, if any.
     size_t node_idx = SIZE_MAX;
     for (size_t i = 0; i < state.elems.size(); ++i) {
-      if (state.elems[i].node != nullptr &&
+      if (state.elems[i].node != Elem::kUser &&
           (node_idx == SIZE_MAX ||
-           state.elems[i].count() > state.elems[node_idx].count())) {
+           count(state.elems[i]) > count(state.elems[node_idx]))) {
         node_idx = i;
       }
     }
 
     if (node_idx != SIZE_MAX) {
-      const IurTree::Entry* eu = state.elems[node_idx].node;
-      const IurTree::Node* child_node = eu->child;
-      if (charged_nodes.insert(child_node).second) {
-        user_tree_->ChargeAccess(child_node, &result.stats.user_io);
+      const uint32_t eu = state.elems[node_idx].node;
+      const uint32_t child_node = user_tree.Child(eu);
+      if (charged_nodes[child_node] == 0) {
+        charged_nodes[child_node] = 1;
+        user_tree.ChargeAccess(child_node, &result.stats.user_io);
       }
       // Replace `eu` with its qualifying children in EVERY list holding it,
       // so the node is processed at most once globally.
@@ -211,18 +220,8 @@ MiurResult MiurMaxBrstSolver::Solve(const MaxBrstQuery& query,
             [eu](const Elem& el) { return el.node == eu; });
         if (it == elems.end()) continue;
         elems.erase(it);
-        const Point loc = query.locations[lj];
-        for (const IurTree::Entry& ce : child_node->entries) {
-          if (ce.is_object()) {
-            if (user_qualifies(ce.id, loc)) {
-              elems.push_back({nullptr, ce.id});
-            }
-          } else if (node_qualifies(ce, loc)) {
-            elems.push_back({&ce, 0});
-          }
-        }
-        states[lj].count = 0;
-        for (const Elem& el : elems) states[lj].count += el.count();
+        add_qualifying(child_node, query.locations[lj], &elems);
+        recount(&states[lj]);
         if (elems.empty()) states[lj].done = true;
       }
       continue;

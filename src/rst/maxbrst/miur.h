@@ -32,10 +32,12 @@ struct MiurResult {
 /// metric of Figure 15.
 class MiurMaxBrstSolver {
  public:
-  /// `user_tree` must index exactly `users` (ids 0..|U|-1). All referents
-  /// must outlive the solver.
-  MiurMaxBrstSolver(const IurTree* object_tree, const Dataset* dataset,
-                    const StScorer* scorer, const IurTree* user_tree,
+  /// `user_tree` must be a frozen MIUR tree (IurTree::BuildFromUsers, then
+  /// frozen::FrozenTree::Freeze) indexing exactly `users` (ids 0..|U|-1).
+  /// All referents must outlive the solver.
+  MiurMaxBrstSolver(const frozen::FrozenTree* object_tree,
+                    const Dataset* dataset, const StScorer* scorer,
+                    const frozen::FrozenTree* user_tree,
                     const std::vector<StUser>* users)
       : object_tree_(object_tree),
         dataset_(dataset),
@@ -46,10 +48,10 @@ class MiurMaxBrstSolver {
   MiurResult Solve(const MaxBrstQuery& query, KeywordSelect method) const;
 
  private:
-  const IurTree* object_tree_;
+  const frozen::FrozenTree* object_tree_;
   const Dataset* dataset_;
   const StScorer* scorer_;
-  const IurTree* user_tree_;
+  const frozen::FrozenTree* user_tree_;
   const std::vector<StUser>* users_;
 };
 

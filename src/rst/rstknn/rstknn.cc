@@ -51,7 +51,6 @@ RstknnSearcher::RstknnSearcher(const frozen::FrozenTree* tree,
 RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
                                     const RstknnOptions& options,
                                     exec::ThreadPool* pool) const {
-  using rstknn_internal::FrozenTreeView;
   using rstknn_internal::SearchContributionList;
   using rstknn_internal::SearchProbe;
 
@@ -81,11 +80,10 @@ RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
                         options.algorithm == RstknnAlgorithm::kContributionList
                             ? obs::names::kSpanRstknnContributionList
                             : obs::names::kSpanRstknnProbe);
-    const FrozenTreeView view{tree_};
     result = options.algorithm == RstknnAlgorithm::kContributionList
-                 ? SearchContributionList(view, *dataset_, *scorer_, query,
+                 ? SearchContributionList(*tree_, *dataset_, *scorer_, query,
                                           options)
-                 : SearchProbe(view, *dataset_, *scorer_, query, options,
+                 : SearchProbe(*tree_, *dataset_, *scorer_, query, options,
                                pool);
   }
   // Phase histograms are per-query by nature, so they publish even when the
@@ -163,7 +161,7 @@ RstknnResult PrecomputeBaseline::Query(const RstknnQuery& query,
     // k-th best competitor of o, discounting the query object if it happens
     // to sit in o's precomputed top list.
     double threshold = kth_score_[o.id];
-    if (query.self != IurTree::kNoObject) {
+    if (query.self != frozen::FrozenTree::kNoObject) {
       const auto& top = tops_[o.id];
       // Discount only when the query object occupies one of the top-k slots;
       // at position k it is already outside the threshold window.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "rst/data/dataset.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/iurtree.h"
 #include "rst/storage/io_stats.h"
 #include "rst/text/similarity.h"
@@ -17,10 +18,6 @@ class ExplainRecorder;
 class HeatmapRecorder;
 class PhaseProfiler;
 }  // namespace obs
-
-namespace frozen {
-class FrozenTree;
-}  // namespace frozen
 
 namespace exec {
 class ThreadPool;
@@ -68,8 +65,8 @@ enum class ExpandPolicy {
 };
 
 /// Reusable per-thread working memory for RstknnSearcher: the per-node
-/// charged flags, the probe workers' heaps and dot buffers, the frontiers
-/// and the contribution-list pair memo. A searcher given a scratch clears it
+/// charged flags, the probe workers' heaps and dot buffers, and the
+/// frontiers. A searcher given a scratch clears it
 /// instead of reallocating, so a steady-state probe query allocates only its
 /// answers.
 /// A ProbeScratch may be reused across queries but must never be shared by
@@ -211,7 +208,7 @@ std::vector<ObjectId> BruteForceRstknn(const Dataset& dataset,
 /// threshold.
 class PrecomputeBaseline {
  public:
-  PrecomputeBaseline(const IurTree* tree, const Dataset* dataset,
+  PrecomputeBaseline(const frozen::FrozenTree* tree, const Dataset* dataset,
                      const StScorer* scorer)
       : tree_(tree), dataset_(dataset), scorer_(scorer) {}
 
@@ -231,7 +228,7 @@ class PrecomputeBaseline {
                      obs::QueryTrace* trace = nullptr) const;
 
  private:
-  const IurTree* tree_;
+  const frozen::FrozenTree* tree_;
   const Dataset* dataset_;
   const StScorer* scorer_;
   size_t k_ = 0;

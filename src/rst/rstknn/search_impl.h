@@ -1,25 +1,9 @@
 #ifndef RST_RSTKNN_SEARCH_IMPL_H_
 #define RST_RSTKNN_SEARCH_IMPL_H_
 
-/// The templated branch-and-bound engine behind RstknnSearcher. Everything
-/// here is an implementation detail of rstknn.cc.
-///
-/// Both RSTkNN algorithms are templates over a read-only tree view; the one
-/// view is FrozenTreeView over the flat-layout snapshot (rst::frozen). A
-/// view names nodes and entries by NodeRef/EntryRef (dense indices) and
-/// exposes:
-///   * topology — Root, NumNodes, NumEntries, EntryAt, Child, IsObject, Id,
-///                Count, and Contains (preorder subtree intervals);
-///   * geometry — RectOf;
-///   * text     — Summary / ClusterSummary as SummarySpan, which feed the
-///                span kernels, and EntryDots / ClusterDots, which bound
-///                every entry of a node against one summary in one pass over
-///                the node's postings;
-///   * keys     — NodeKey/EntryKey map refs to uintptr_t for the per-node
-///                charged flags and the contribution-list pair memo of
-///                ProbeScratch::Impl;
-///   * I/O      — Charge (simulated or real through a buffer pool);
-///   * explain  — ExplainOf yielding the deterministic explain id/level.
+/// The branch-and-bound engine behind RstknnSearcher, over the frozen
+/// flat-layout snapshot (rst::frozen). Everything here is an implementation
+/// detail of rstknn.cc.
 ///
 /// The probe algorithm decides each candidate with one competitor probe
 /// (DESIGN.md §3.2): prune when k competitors are guaranteed to beat q,
@@ -38,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -47,7 +32,6 @@
 #include "rst/common/check.h"
 #include "rst/exec/thread_pool.h"
 #include "rst/frozen/frozen.h"
-#include "rst/iurtree/cluster.h"
 #include "rst/obs/explain.h"
 #include "rst/obs/heatmap.h"
 #include "rst/obs/metric_names.h"
@@ -59,189 +43,50 @@
 namespace rst {
 namespace rstknn_internal {
 
-/// Key/hash for the contribution-list pair memo (ordered entry-key pair).
-struct EntryPairKey {
-  uintptr_t a = 0;
-  uintptr_t b = 0;
-  bool operator==(const EntryPairKey& o) const { return a == o.a && b == o.b; }
-};
-struct EntryPairKeyHash {
-  size_t operator()(const EntryPairKey& k) const {
-    const size_t h1 = std::hash<uintptr_t>()(k.a);
-    const size_t h2 = std::hash<uintptr_t>()(k.b);
-    return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
-  }
-};
-
-struct PairBoundsValue {
-  double mn = 0.0;
-  double mx = 0.0;
-};
-
-/// Explain id and tree level of one entry: the stable numbering behind
-/// EXPLAIN decisions and heatmap nodes (ids start at 1).
-struct ExplainInfo {
-  uint64_t id = 0;
-  uint32_t level = 0;
-};
-
-struct FrozenTreeView {
-  using NodeRef = uint32_t;
-  using EntryRef = uint32_t;
-  static constexpr NodeRef kNoNode = frozen::FrozenTree::kNoNode;
-
-  const frozen::FrozenTree* tree = nullptr;
-
-  size_t TreeSize() const { return tree->size(); }
-  size_t NumNodes() const { return tree->num_nodes(); }
-  NodeRef Root() const { return tree->root(); }
-  size_t NumEntries(NodeRef n) const { return tree->EntryCount(n); }
-  EntryRef EntryAt(NodeRef n, size_t i) const {
-    return tree->EntryBegin(n) + static_cast<uint32_t>(i);
-  }
-  bool IsObject(EntryRef e) const { return tree->IsObject(e); }
-  ObjectId Id(EntryRef e) const { return tree->ObjectIdOf(e); }
-  NodeRef Child(EntryRef e) const { return tree->Child(e); }
-  uint32_t Count(EntryRef e) const { return tree->Count(e); }
-  /// True when node `n`'s subtree holds node `other`; false for kNoNode.
-  bool Contains(NodeRef n, NodeRef other) const {
-    return tree->Contains(n, other);
-  }
-  NodeRef LeafOf(ObjectId id) const { return tree->LeafOf(id); }
-  const Rect& RectOf(EntryRef e) const { return tree->EntryRect(e); }
-  SummarySpan Summary(EntryRef e) const { return tree->Summary(e); }
-  size_t NumClusters(EntryRef e) const { return tree->NumClusters(e); }
-  SummarySpan ClusterSummary(EntryRef e, size_t i) const {
-    return tree->ClusterSummary(e, static_cast<uint32_t>(i));
-  }
-  uint32_t ClusterCount(EntryRef e, size_t i) const {
-    return tree->ClusterCount(e, static_cast<uint32_t>(i));
-  }
-  size_t MaxNodeEntries() const { return tree->MaxNodeEntries(); }
-  size_t MaxNodeClusters() const { return tree->MaxNodeClusters(); }
-  bool ClustersAreEntries(NodeRef n) const {
-    return tree->ClustersAreEntries(n);
-  }
-  void EntryDots(NodeRef n, const SummarySpan& probe, double* uni,
-                 double* intr) const {
-    tree->EntryDots(n, probe, uni, intr);
-  }
-  void ClusterDots(NodeRef n, const SummarySpan& probe, double* uni,
-                   double* intr) const {
-    tree->ClusterDots(n, probe, uni, intr);
-  }
-
-  static uintptr_t NodeKey(NodeRef n) { return n; }
-  static uintptr_t EntryKey(EntryRef e) { return e; }
-
-  /// Charges one node access. In real-I/O mode (options.pool set) the node's
-  /// serialized inverted file is read through the buffer pool — hits charge
-  /// nothing and the pool's hit/miss/fill metrics reflect genuine traffic;
-  /// otherwise the papers' simulated accounting applies.
-  void Charge(NodeRef n, const RstknnOptions& options,
-              RstknnStats* stats) const {
-    if (options.pool != nullptr) {
-      obs::TraceSpan span(options.trace, obs::names::kSpanStorageReadNode);
-      obs::PhaseTimer io_phase(options.profiler, obs::Phase::kIo);
-      InvertedFile invfile;
-      if (tree->ReadNodePayload(n, options.pool, &stats->io, &invfile).ok()) {
-        return;
-      }
-      // Payloads not finalized: fall back below (nothing was charged).
+/// Charges one node access. In real-I/O mode (options.pool set) the node's
+/// serialized inverted file is read through the buffer pool — hits charge
+/// nothing and the pool's hit/miss/fill metrics reflect genuine traffic;
+/// otherwise the papers' simulated accounting applies.
+inline void ChargeNode(const frozen::FrozenTree& tree, uint32_t node,
+                       const RstknnOptions& options, RstknnStats* stats) {
+  if (options.pool != nullptr) {
+    obs::TraceSpan span(options.trace, obs::names::kSpanStorageReadNode);
+    obs::PhaseTimer io_phase(options.profiler, obs::Phase::kIo);
+    InvertedFile invfile;
+    if (tree.ReadNodePayload(node, options.pool, &stats->io, &invfile).ok()) {
+      return;
     }
-    tree->ChargeAccess(n, &stats->io);
+    // Payloads not finalized: fall back below (nothing was charged).
   }
-
-  /// Frozen entry indices ARE the explain numbering (index + 1).
-  ExplainInfo ExplainOf(EntryRef e) const {
-    return ExplainInfo{static_cast<uint64_t>(e) + 1, tree->EntryLevel(e)};
-  }
-};
-
-/// Span-kernel bounds of one entry against a plain summary (the query) and
-/// between two entries, cluster-aware like EntryTextBounds /
-/// EntryPairTextBounds (iurtree.h): same cluster order, same kernels, so the
-/// doubles are bit-identical.
-template <typename View>
-TextBounds ViewEntryTextBounds(const View& view, typename View::EntryRef e,
-                               const SummarySpan& other,
-                               const TextSimilarity& sim) {
-  const size_t nc = view.NumClusters(e);
-  if (nc == 0) {
-    const SummarySpan s = view.Summary(e);
-    return {sim.MinSim(s, other), sim.MaxSim(s, other)};
-  }
-  TextBounds bounds{1.0, 0.0};
-  for (size_t i = 0; i < nc; ++i) {
-    const SummarySpan s = view.ClusterSummary(e, i);
-    bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(s, other));
-    bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(s, other));
-  }
-  return bounds;
-}
-
-template <typename View>
-TextBounds ViewPairTextBounds(const View& view, typename View::EntryRef a,
-                              typename View::EntryRef b,
-                              const TextSimilarity& sim) {
-  const size_t na = view.NumClusters(a);
-  const size_t nb = view.NumClusters(b);
-  if (na == 0 && nb == 0) {
-    const SummarySpan sa = view.Summary(a);
-    const SummarySpan sb = view.Summary(b);
-    return {sim.MinSim(sa, sb), sim.MaxSim(sa, sb)};
-  }
-  // Treat an unclustered side as one blended cluster.
-  TextBounds bounds{1.0, 0.0};
-  for (size_t i = 0; i < std::max<size_t>(na, 1); ++i) {
-    const SummarySpan sa = na == 0 ? view.Summary(a) : view.ClusterSummary(a, i);
-    for (size_t j = 0; j < std::max<size_t>(nb, 1); ++j) {
-      const SummarySpan sb =
-          nb == 0 ? view.Summary(b) : view.ClusterSummary(b, j);
-      bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(sa, sb));
-      bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(sa, sb));
-    }
-  }
-  return bounds;
-}
-
-template <typename View>
-double ViewClusterEntropy(const View& view, typename View::EntryRef e) {
-  const size_t nc = view.NumClusters(e);
-  if (nc == 0) return 0.0;
-  std::vector<uint32_t> counts;
-  counts.reserve(nc);
-  for (size_t i = 0; i < nc; ++i) counts.push_back(view.ClusterCount(e, i));
-  return ClusterEntropy(counts);
+  tree.ChargeAccess(node, &stats->io);
 }
 
 /// A candidate entry of the branch-and-bound search: a subtree (or object)
 /// whose membership in the answer is still to be decided. Its ancestry is
 /// the preorder interval test on `parent`, so a candidate owns no memory.
-template <typename View>
 struct Candidate {
-  typename View::EntryRef entry{};
-  typename View::NodeRef parent{};  ///< the node holding `entry`
-  bool contains_self = false;       ///< subtree holds the query object
-  double q_min = 0.0;               ///< MinST(q, E)
-  double q_max = 0.0;               ///< MaxST(q, E)
+  uint32_t entry = 0;
+  uint32_t parent = 0;         ///< the node holding `entry`
+  bool contains_self = false;  ///< subtree holds the query object
+  double q_min = 0.0;          ///< MinST(q, E)
+  double q_max = 0.0;          ///< MaxST(q, E)
 };
 
-template <typename View>
-void CollectObjectIds(const View& view, typename View::EntryRef entry,
-                      ObjectId exclude, std::vector<ObjectId>* out) {
-  if (view.IsObject(entry)) {
-    if (view.Id(entry) != exclude) out->push_back(view.Id(entry));
+inline void CollectObjectIds(const frozen::FrozenTree& tree, uint32_t entry,
+                             ObjectId exclude, std::vector<ObjectId>* out) {
+  if (tree.IsObject(entry)) {
+    if (tree.ObjectIdOf(entry) != exclude) out->push_back(tree.ObjectIdOf(entry));
     return;
   }
-  const auto child = view.Child(entry);
-  for (size_t i = 0, n = view.NumEntries(child); i < n; ++i) {
-    CollectObjectIds(view, view.EntryAt(child, i), exclude, out);
+  const uint32_t child = tree.Child(entry);
+  const uint32_t first = tree.EntryBegin(child);
+  for (uint32_t e = first; e < first + tree.EntryCount(child); ++e) {
+    CollectObjectIds(tree, e, exclude, out);
   }
 }
 
 /// Per-query EXPLAIN state: the recorder (reset + stamped here) and the
-/// cross-query heatmap, both keyed by the view's explain ids. Everything is
+/// cross-query heatmap, both keyed by explain ids (frozen entry index + 1). Everything is
 /// a no-op when neither is attached.
 struct ExplainSink {
   obs::ExplainRecorder* recorder = nullptr;
@@ -260,18 +105,18 @@ struct ExplainSink {
   explicit ExplainSink(obs::HeatmapRecorder* worker_heatmap)
       : heatmap(worker_heatmap) {}
 
-  template <typename View>
-  void Record(const View& view, typename View::EntryRef entry, double q_min,
+  void Record(const frozen::FrozenTree& tree, uint32_t entry, double q_min,
               double q_max, obs::ExplainVerdict verdict,
               obs::ExplainBound bound, uint64_t decided_objects) const {
     if (recorder == nullptr && heatmap == nullptr) return;
-    const ExplainInfo info = view.ExplainOf(entry);
+    const uint64_t id = static_cast<uint64_t>(entry) + 1;
+    const uint32_t level = tree.EntryLevel(entry);
     if (recorder != nullptr) {
-      recorder->Record({info.id, info.level, verdict, bound, q_min, q_max,
-                        decided_objects});
+      recorder->Record(
+          {id, level, verdict, bound, q_min, q_max, decided_objects});
     }
     if (heatmap != nullptr) {
-      heatmap->Record(info.id, info.level, verdict, bound, decided_objects);
+      heatmap->Record(id, level, verdict, bound, decided_objects);
     }
   }
 };
@@ -314,13 +159,11 @@ struct ProbeWorker {
 /// scope and reused from query to query, so that a client's steady-state
 /// query allocates only its answers: the per-node charged flags (read by
 /// every fan-out worker through the calling thread's scratch), the probe
-/// workers, the frontiers, and the contribution-list algorithm's pair memo,
-/// which spans one whole query because each pick recomputes its list against
-/// every live entry. The probe algorithm keeps no memo: one probe per
-/// candidate examines each entry at most once.
+/// workers and the frontiers. The probe algorithm keeps no memo: one probe
+/// per candidate examines each entry at most once. The contribution-list
+/// algorithm's pair memo is query-local (SearchContributionList).
 struct ProbeScratch::Impl {
-  using Candidate =
-      rstknn_internal::Candidate<rstknn_internal::FrozenTreeView>;
+  using Candidate = rstknn_internal::Candidate;
 
   /// One flag per tree node: set once the node's I/O is charged this query.
   std::vector<uint8_t> charged;
@@ -329,19 +172,12 @@ struct ProbeScratch::Impl {
   std::vector<Candidate> next;
   /// Fan-out: the children of frontier candidate i, before concatenation.
   std::vector<std::vector<Candidate>> slots;
-  std::unordered_map<rstknn_internal::EntryPairKey,
-                     rstknn_internal::PairBoundsValue,
-                     rstknn_internal::EntryPairKeyHash>
-      pair_bounds;
 
-  void ResetForQuery(size_t num_nodes) {
-    charged.assign(num_nodes, 0);
-    pair_bounds.clear();
-  }
+  void ResetForQuery(size_t num_nodes) { charged.assign(num_nodes, 0); }
   /// True for exactly one caller per node and query, whichever worker
   /// touches the node first. The load skips the exchange for nodes already
   /// paid for, which is nearly every probe visit.
-  bool Claim(uintptr_t node) {
+  bool Claim(uint32_t node) {
     std::atomic_ref<uint8_t> flag(charged[node]);
     return flag.load() == 0 && flag.exchange(1) == 0;
   }
@@ -351,16 +187,15 @@ namespace rstknn_internal {
 
 /// Query-scope inputs of every probe decision. Read-only during a round,
 /// except for the charged-node claims in `shared`, which are atomic.
-template <typename View>
 struct ProbeQuery {
-  const View& view;
+  const frozen::FrozenTree& tree;
   const Dataset& dataset;
   const StScorer& scorer;
   const RstknnQuery& query;
   const RstknnOptions& options;
   SummarySpan qspan;
-  /// The leaf holding the query object, or View::kNoNode.
-  typename View::NodeRef self_leaf;
+  /// The leaf holding the query object, or FrozenTree::kNoNode.
+  uint32_t self_leaf;
   ProbeScratch::Impl* shared;  ///< charged flags (the caller's scratch)
 
   /// Charges one node access the first time any worker opens the node this
@@ -368,35 +203,33 @@ struct ProbeQuery {
   /// whole query, so each node costs its I/O once however many probes
   /// revisit it — and the charged set, hence RstknnStats::io, does not
   /// depend on which worker got there first.
-  void ChargeOnce(typename View::NodeRef node, RstknnStats* stats) const {
-    if (shared->Claim(View::NodeKey(node))) view.Charge(node, options, stats);
+  void ChargeOnce(uint32_t node, RstknnStats* stats) const {
+    if (shared->Claim(node)) ChargeNode(tree, node, options, stats);
   }
 };
 
 /// Appends the candidate for entry `e` of node `parent` (with MinST/MaxST to
 /// q) to `out`.
-template <typename View>
-void AddCandidate(const ProbeQuery<View>& ctx, typename View::NodeRef parent,
-                  typename View::EntryRef e, RstknnStats* stats,
-                  std::vector<Candidate<View>>* out) {
-  const View& view = ctx.view;
+inline void AddCandidate(const ProbeQuery& ctx, uint32_t parent, uint32_t e,
+                         RstknnStats* stats, std::vector<Candidate>* out) {
+  const frozen::FrozenTree& tree = ctx.tree;
   const StScorer& scorer = ctx.scorer;
   const RstknnQuery& query = ctx.query;
-  if (view.IsObject(e) && view.Id(e) == query.self) return;  // never a
-                                                             // candidate
-  Candidate<View> cand;
+  // The query object is never a candidate.
+  if (tree.IsObject(e) && tree.ObjectIdOf(e) == query.self) return;
+  Candidate cand;
   cand.entry = e;
   cand.parent = parent;
-  if (view.IsObject(e)) {
-    const StObject& obj = ctx.dataset.object(view.Id(e));
+  if (tree.IsObject(e)) {
+    const StObject& obj = ctx.dataset.object(tree.ObjectIdOf(e));
     cand.q_min = cand.q_max =
         scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
   } else {
     const double alpha = scorer.options().alpha;
-    cand.contains_self = view.Contains(view.Child(e), ctx.self_leaf);
+    cand.contains_self = tree.Contains(tree.Child(e), ctx.self_leaf);
     const TextBounds tb =
-        ViewEntryTextBounds(view, e, ctx.qspan, scorer.text());
-    const Rect& rect = view.RectOf(e);
+        frozen::SummaryTextBounds(tree, e, ctx.qspan, scorer.text());
+    const Rect& rect = tree.EntryRect(e);
     cand.q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
                  (1.0 - alpha) * tb.min_sim;
     cand.q_max = alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
@@ -423,21 +256,18 @@ void AddCandidate(const ProbeQuery<View>& ctx, typename View::NodeRef parent,
 /// measure's formula on those dots and the cached norms, bit-identical to
 /// the span kernels; bound_computations still counts one per child bound and
 /// one per cluster refinement.
-template <typename View>
-size_t CountCompetitors(const ProbeQuery<View>& ctx,
-                        const Candidate<View>& cand, uint64_t budget,
-                        ProbeWorker* worker) {
-  using NodeRef = typename View::NodeRef;
-  const View& view = ctx.view;
+inline size_t CountCompetitors(const ProbeQuery& ctx, const Candidate& cand,
+                               uint64_t budget, ProbeWorker* worker) {
+  const frozen::FrozenTree& tree = ctx.tree;
   const StScorer& scorer = ctx.scorer;
   const TextSimilarity& text = scorer.text();
   RstknnStats* stats = &worker->stats;
   const size_t k = ctx.query.k;
   const ObjectId exclude = ctx.query.self;
-  const auto e = cand.entry;
-  const Rect& e_rect = view.RectOf(e);
-  const SummarySpan e_sum = view.Summary(e);
-  const bool e_is_object = view.IsObject(e);
+  const uint32_t e = cand.entry;
+  const Rect& e_rect = tree.EntryRect(e);
+  const SummarySpan e_sum = tree.Summary(e);
+  const bool e_is_object = tree.IsObject(e);
   const double alpha = scorer.options().alpha;
   const double threshold = cand.q_max;
   const uint64_t bounds_before = stats->bound_computations;
@@ -445,9 +275,9 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
 
   size_t count = 0;
   // Self term: the candidate's own other objects compete among themselves.
-  uint32_t own = view.Count(e) - (cand.contains_self ? 1 : 0);
+  uint32_t own = tree.Count(e) - (cand.contains_self ? 1 : 0);
   if (own > 1) {
-    const TextBounds tb = ViewPairTextBounds(view, e, e, text);
+    const TextBounds tb = frozen::PairTextBounds(tree, e, e, text);
     ++stats->bound_computations;
     const double intra = alpha * scorer.SpatialSim(MaxDistance(e_rect, e_rect)) +
                          (1.0 - alpha) * tb.min_sim;
@@ -457,15 +287,15 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
     }
   }
 
-  const size_t max_entries = view.MaxNodeEntries();
+  const size_t max_entries = tree.MaxNodeEntries();
   double* const uni_dots = worker->dots.data();
   double* const intr_dots = uni_dots + max_entries;
   double* const cluster_uni = intr_dots + max_entries;
-  double* const cluster_intr = cluster_uni + view.MaxNodeClusters();
+  double* const cluster_intr = cluster_uni + tree.MaxNodeClusters();
 
   std::vector<ProbeItem>& heap = worker->heap;
   heap.clear();
-  heap.push_back({1.0, view.Root()});
+  heap.push_back({1.0, tree.root()});
 
   while (!heap.empty()) {
     if (stats->bound_computations - bounds_before >= budget) break;
@@ -474,9 +304,9 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
     heap.pop_back();
     ++stats->pq_pops;
     if (item.max_st <= threshold) break;  // nothing left can matter
-    const NodeRef node = item.node;
+    const uint32_t node = item.node;
     ctx.ChargeOnce(node, stats);
-    view.EntryDots(node, e_sum, uni_dots, intr_dots);
+    tree.EntryDots(node, e_sum, uni_dots, intr_dots);
     // Cluster dots of this node, computed the first time a child needs them.
     const double* c_uni = nullptr;
     const double* c_intr = nullptr;
@@ -484,15 +314,14 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
     // Pair bounds with lazy cluster refinement: the blended-summary bound
     // decides most entries outright; per-cluster bounds are computed only
     // when it straddles the threshold and could change the outcome.
-    auto pair_bounds = [&](typename View::EntryRef other, size_t slot,
-                           size_t first_cluster) {
-      const Rect& other_rect = view.RectOf(other);
+    auto pair_bounds = [&](uint32_t other, size_t slot, size_t first_cluster) {
+      const Rect& other_rect = tree.EntryRect(other);
       const double spatial_min =
           alpha * scorer.SpatialSim(MaxDistance(e_rect, other_rect));
       const double spatial_max =
           alpha * scorer.SpatialSim(MinDistance(e_rect, other_rect));
       ++stats->bound_computations;
-      const SummarySpan other_sum = view.Summary(other);
+      const SummarySpan other_sum = tree.Summary(other);
       double mn = spatial_min + (1.0 - alpha) * text.MinSimFromDot(
                                                   intr_dots[slot],
                                                   e_sum.uni.norm_squared,
@@ -501,22 +330,22 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
                                                   uni_dots[slot],
                                                   e_sum.intr.norm_squared,
                                                   other_sum.intr.norm_squared);
-      const size_t nc = view.NumClusters(other);
+      const uint32_t nc = tree.NumClusters(other);
       if (nc > 0 && mn <= threshold && mx > threshold) {
         if (c_uni == nullptr) {
-          if (view.ClustersAreEntries(node)) {
+          if (tree.ClustersAreEntries(node)) {
             c_uni = uni_dots;
             c_intr = intr_dots;
           } else {
-            view.ClusterDots(node, e_sum, cluster_uni, cluster_intr);
+            tree.ClusterDots(node, e_sum, cluster_uni, cluster_intr);
             c_uni = cluster_uni;
             c_intr = cluster_intr;
           }
         }
         ++stats->bound_computations;
         TextBounds tb{1.0, 0.0};
-        for (size_t c = 0; c < nc; ++c) {
-          const SummarySpan cs = view.ClusterSummary(other, c);
+        for (uint32_t c = 0; c < nc; ++c) {
+          const SummarySpan cs = tree.ClusterSummary(other, c);
           tb.min_sim = std::min(
               tb.min_sim,
               text.MinSimFromDot(c_intr[first_cluster + c],
@@ -534,29 +363,32 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
     };
 
     size_t next_cluster = 0;  // node-local index of the child's first cluster
-    for (size_t i = 0, n = view.NumEntries(node); i < n; ++i) {
-      const auto child = view.EntryAt(node, i);
+    const uint32_t first_entry = tree.EntryBegin(node);
+    for (size_t i = 0, n = tree.EntryCount(node); i < n; ++i) {
+      const uint32_t child = first_entry + static_cast<uint32_t>(i);
       const size_t first_cluster = next_cluster;
-      next_cluster += view.NumClusters(child);
-      if (view.IsObject(child)) {
-        if (view.Id(child) == exclude) continue;
-        if (e_is_object && view.Id(child) == view.Id(e)) continue;
+      next_cluster += tree.NumClusters(child);
+      if (tree.IsObject(child)) {
+        if (tree.ObjectIdOf(child) == exclude) continue;
+        if (e_is_object && tree.ObjectIdOf(child) == tree.ObjectIdOf(e)) {
+          continue;
+        }
         if (pair_bounds(child, i, first_cluster).first > threshold &&
             ++count >= k) {
           return k;
         }
         continue;
       }
-      const NodeRef child_node = view.Child(child);
+      const uint32_t child_node = tree.Child(child);
       // E's own subtree is covered by the self term.
-      if (!e_is_object && child_node == view.Child(e)) continue;
+      if (!e_is_object && child_node == tree.Child(e)) continue;
       const auto [mn, mx] = pair_bounds(child, i, first_cluster);
       if (mx <= threshold) continue;  // no object inside can matter
-      if (mn > threshold && !view.Contains(child_node, cand.parent)) {
+      if (mn > threshold && !tree.Contains(child_node, cand.parent)) {
         // Every object in this subtree, which is disjoint from E, clears the
         // threshold.
-        count += view.Count(child) -
-                 (view.Contains(child_node, ctx.self_leaf) ? 1 : 0);
+        count += tree.Count(child) -
+                 (tree.Contains(child_node, ctx.self_leaf) ? 1 : 0);
         if (count >= k) return k;
         continue;
       }
@@ -578,17 +410,15 @@ size_t CountCompetitors(const ProbeQuery<View>& ctx,
 /// probe worth at most ⌈Count(E)/2⌉ bound computations, because deciding
 /// the node's objects one by one costs at least Count(E). An object's probe
 /// runs unbudgeted to its exact count.
-template <typename View>
-void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
-                     ProbeWorker* w, std::vector<Candidate<View>>* children) {
-  using NodeRef = typename View::NodeRef;
-  const View& view = ctx.view;
+inline void DecideCandidate(const ProbeQuery& ctx, const Candidate& cand,
+                            ProbeWorker* w, std::vector<Candidate>* children) {
+  const frozen::FrozenTree& tree = ctx.tree;
   obs::QueryTrace* trace = ctx.options.trace;
   obs::PhaseProfiler* profiler = ctx.options.profiler;
   RstknnStats& stats = w->stats;
   ++stats.pq_pops;
-  const bool object = view.IsObject(cand.entry);
-  const uint32_t cand_count = view.Count(cand.entry);
+  const bool object = tree.IsObject(cand.entry);
+  const uint32_t cand_count = tree.Count(cand.entry);
 
   size_t guaranteed;
   {
@@ -604,7 +434,7 @@ void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
   }
   if (guaranteed >= ctx.query.k) {
     ++stats.pruned_entries;
-    w->explain.Record(view, cand.entry, cand.q_min, cand.q_max,
+    w->explain.Record(tree, cand.entry, cand.q_min, cand.q_max,
                       object ? obs::ExplainVerdict::kReportMiss
                              : obs::ExplainVerdict::kPrune,
                       object ? obs::ExplainBound::kExact
@@ -616,30 +446,25 @@ void DecideCandidate(const ProbeQuery<View>& ctx, const Candidate<View>& cand,
   // object is an answer.
   if (object) {
     ++stats.reported_entries;
-    w->explain.Record(view, cand.entry, cand.q_min, cand.q_max,
+    w->explain.Record(tree, cand.entry, cand.q_min, cand.q_max,
                       obs::ExplainVerdict::kReportHit,
                       obs::ExplainBound::kExact, 1);
-    w->answers.push_back(view.Id(cand.entry));
+    w->answers.push_back(tree.ObjectIdOf(cand.entry));
     return;
   }
   obs::TraceSpan expand_span(trace, obs::names::kSpanExpand);
   obs::PhaseTimer descent_phase(profiler, obs::Phase::kDescent);
-  const NodeRef child_node = view.Child(cand.entry);
+  const uint32_t child_node = tree.Child(cand.entry);
   ctx.ChargeOnce(child_node, &stats);
   ++stats.expansions;
-  w->explain.Record(view, cand.entry, cand.q_min, cand.q_max,
+  w->explain.Record(tree, cand.entry, cand.q_min, cand.q_max,
                     obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone, 0);
-  const size_t num_children = view.NumEntries(child_node);
-  for (size_t i = 0; i < num_children; ++i) {
-    AddCandidate(ctx, child_node, view.EntryAt(child_node, i), &stats,
-                 children);
+  const uint32_t first = tree.EntryBegin(child_node);
+  const uint32_t num_children = tree.EntryCount(child_node);
+  for (uint32_t e = first; e < first + num_children; ++e) {
+    AddCandidate(ctx, child_node, e, &stats, children);
   }
   expand_span.AddCount(obs::names::kCountEntries, num_children);
-}
-
-/// A document as a one-document summary, without copying it.
-inline SummarySpan DocSpan(const TermVector& doc) {
-  return SummarySpan{AsSpan(doc), AsSpan(doc), 1};
 }
 
 /// The probe algorithm's one driver. Each round decides every candidate of
@@ -656,14 +481,13 @@ inline SummarySpan DocSpan(const TermVector& doc) {
 /// Large k: an object has at most |D| − 1 − [self ∈ D] competitors, so when
 /// that is below k every object but the query object is an answer, and the
 /// search returns them all with no probe.
-inline RstknnResult SearchProbe(const FrozenTreeView& view,
+inline RstknnResult SearchProbe(const frozen::FrozenTree& tree,
                                 const Dataset& dataset, const StScorer& scorer,
                                 const RstknnQuery& query,
                                 const RstknnOptions& options,
                                 exec::ThreadPool* pool) {
-  using View = FrozenTreeView;
   RstknnResult result;
-  if (view.TreeSize() == 0 || query.k == 0) return result;
+  if (tree.size() == 0 || query.k == 0) return result;
   const size_t num_workers = pool != nullptr ? pool->num_threads() : 1;
   if (num_workers > 1) {
     RST_CHECK(options.explain == nullptr)
@@ -693,53 +517,53 @@ inline RstknnResult SearchProbe(const FrozenTreeView& view,
   ProbeScratch::Impl* mem =
       (options.scratch != nullptr ? options.scratch : local_scratch.get())
           ->impl();
-  mem->ResetForQuery(view.NumNodes());
-  const View::NodeRef self_leaf = query.self != IurTree::kNoObject
-                                      ? view.LeafOf(query.self)
-                                      : View::kNoNode;
-  const ProbeQuery<View> ctx{view,    dataset,          scorer, query,
-                             options, DocSpan(*query.doc), self_leaf, mem};
+  mem->ResetForQuery(tree.num_nodes());
+  const uint32_t self_leaf = query.self != frozen::FrozenTree::kNoObject
+                                 ? tree.LeafOf(query.self)
+                                 : frozen::FrozenTree::kNoNode;
+  const ProbeQuery ctx{tree,    dataset,          scorer, query,
+                       options, DocSpan(*query.doc), self_leaf, mem};
 
   std::vector<std::unique_ptr<obs::HeatmapRecorder>> worker_heatmaps;
   std::vector<ProbeWorker>& workers = mem->workers;
   if (workers.size() < num_workers) workers.resize(num_workers);
   workers[0].ResetForQuery(ExplainSink(options, "probe"),
-                           view.MaxNodeEntries(), view.MaxNodeClusters());
+                           tree.MaxNodeEntries(), tree.MaxNodeClusters());
   for (size_t i = 1; i < num_workers; ++i) {
     obs::HeatmapRecorder* heatmap = nullptr;
     if (options.heatmap != nullptr) {
       worker_heatmaps.push_back(std::make_unique<obs::HeatmapRecorder>());
       heatmap = worker_heatmaps.back().get();
     }
-    workers[i].ResetForQuery(ExplainSink(heatmap), view.MaxNodeEntries(),
-                             view.MaxNodeClusters());
+    workers[i].ResetForQuery(ExplainSink(heatmap), tree.MaxNodeEntries(),
+                             tree.MaxNodeClusters());
   }
 
-  const size_t others = view.TreeSize() - (self_leaf != View::kNoNode ? 1 : 0);
-  std::vector<Candidate<View>>& frontier = mem->frontier;
-  std::vector<Candidate<View>>& next = mem->next;
+  const size_t others =
+      tree.size() - (self_leaf != frozen::FrozenTree::kNoNode ? 1 : 0);
+  std::vector<Candidate>& frontier = mem->frontier;
+  std::vector<Candidate>& next = mem->next;
   frontier.clear();
-  const auto root = view.Root();
+  const uint32_t root = tree.root();
+  const uint32_t root_end = tree.EntryBegin(root) + tree.EntryCount(root);
   if (others > query.k) {
     ctx.ChargeOnce(root, &workers[0].stats);
-    for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
-      AddCandidate(ctx, root, view.EntryAt(root, i), &workers[0].stats,
-                   &frontier);
+    for (uint32_t e = tree.EntryBegin(root); e < root_end; ++e) {
+      AddCandidate(ctx, root, e, &workers[0].stats, &frontier);
     }
   } else {
-    for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
-      CollectObjectIds(view, view.EntryAt(root, i), query.self,
-                       &workers[0].answers);
+    for (uint32_t e = tree.EntryBegin(root); e < root_end; ++e) {
+      CollectObjectIds(tree, e, query.self, &workers[0].answers);
     }
   }
   if (profiler != nullptr) profiler->Exit();  // descent (setup)
   if (trace != nullptr) trace->Exit();  // setup
 
-  std::vector<std::vector<Candidate<View>>>& slots = mem->slots;
+  std::vector<std::vector<Candidate>>& slots = mem->slots;
   while (!frontier.empty()) {
     next.clear();
     if (num_workers == 1 || frontier.size() == 1) {
-      for (const Candidate<View>& cand : frontier) {
+      for (const Candidate& cand : frontier) {
         DecideCandidate(ctx, cand, &workers[0], &next);
       }
     } else {
@@ -793,15 +617,19 @@ inline double KthSorted(std::vector<Contribution>* contributions, size_t k,
   return -1.0;
 }
 
-template <typename View>
-RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
-                                    const StScorer& scorer,
-                                    const RstknnQuery& query,
-                                    const RstknnOptions& options) {
-  using NodeRef = typename View::NodeRef;
-  using EntryRef = typename View::EntryRef;
+/// One contribution-list pair memo value: pair MinST and MaxST.
+struct PairBoundsValue {
+  double mn = 0.0;
+  double mx = 0.0;
+};
+
+inline RstknnResult SearchContributionList(const frozen::FrozenTree& tree,
+                                           const Dataset& dataset,
+                                           const StScorer& scorer,
+                                           const RstknnQuery& query,
+                                           const RstknnOptions& options) {
   RstknnResult result;
-  if (view.TreeSize() == 0 || query.k == 0) return result;
+  if (tree.size() == 0 || query.k == 0) return result;
   const ExplainSink explain(options, "contribution_list");
   const double alpha = scorer.options().alpha;
   const SummarySpan qspan = DocSpan(*query.doc);
@@ -813,14 +641,14 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   ProbeScratch::Impl* mem =
       (options.scratch != nullptr ? options.scratch : local_scratch.get())
           ->impl();
-  mem->ResetForQuery(view.NumNodes());
-  const NodeRef self_leaf = query.self != IurTree::kNoObject
-                                ? view.LeafOf(query.self)
-                                : View::kNoNode;
+  mem->ResetForQuery(tree.num_nodes());
+  const uint32_t self_leaf = query.self != frozen::FrozenTree::kNoObject
+                                 ? tree.LeafOf(query.self)
+                                 : frozen::FrozenTree::kNoNode;
 
   enum class State { kUndecided, kPruned, kReported };
   struct FlatEntry {
-    EntryRef entry{};
+    uint32_t entry = 0;
     State state = State::kUndecided;
     bool alive = true;           // not yet replaced by its children
     bool contains_self = false;  // subtree holds the query object
@@ -829,23 +657,24 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   };
   std::vector<FlatEntry> entries;
 
-  auto add_entry = [&](EntryRef e, State inherited) {
+  auto add_entry = [&](uint32_t e, State inherited) {
     FlatEntry fe;
     fe.entry = e;
     fe.state = inherited;
-    if (view.IsObject(e)) {
-      fe.contains_self = (view.Id(e) == query.self);
+    if (tree.IsObject(e)) {
+      fe.contains_self = (tree.ObjectIdOf(e) == query.self);
       if (fe.contains_self) {
         fe.state = State::kPruned;  // never a candidate nor a contributor
       } else {
-        const StObject& obj = dataset.object(view.Id(e));
+        const StObject& obj = dataset.object(tree.ObjectIdOf(e));
         fe.q_min = fe.q_max =
             scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
       }
     } else {
-      fe.contains_self = view.Contains(view.Child(e), self_leaf);
-      const TextBounds tb = ViewEntryTextBounds(view, e, qspan, scorer.text());
-      const Rect& rect = view.RectOf(e);
+      fe.contains_self = tree.Contains(tree.Child(e), self_leaf);
+      const TextBounds tb =
+          frozen::SummaryTextBounds(tree, e, qspan, scorer.text());
+      const Rect& rect = tree.EntryRect(e);
       fe.q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
                  (1.0 - alpha) * tb.min_sim;
       fe.q_max = alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
@@ -860,17 +689,18 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
     obs::PhaseTimer descent_phase(options.profiler, obs::Phase::kDescent);
     FlatEntry& fe = entries[idx];
     const State inherited = fe.state;
-    const NodeRef child_node = view.Child(fe.entry);
-    if (mem->Claim(View::NodeKey(child_node))) {
-      view.Charge(child_node, options, &result.stats);
+    const uint32_t child_node = tree.Child(fe.entry);
+    if (mem->Claim(child_node)) {
+      ChargeNode(tree, child_node, options, &result.stats);
     }
     fe.alive = false;
     ++result.stats.expansions;
-    explain.Record(view, fe.entry, fe.q_min, fe.q_max,
+    explain.Record(tree, fe.entry, fe.q_min, fe.q_max,
                    obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone, 0);
-    const size_t num_children = view.NumEntries(child_node);
-    for (size_t i = 0; i < num_children; ++i) {
-      add_entry(view.EntryAt(child_node, i), inherited);
+    const uint32_t first = tree.EntryBegin(child_node);
+    const uint32_t num_children = tree.EntryCount(child_node);
+    for (uint32_t e = first; e < first + num_children; ++e) {
+      add_entry(e, inherited);
     }
     span.AddCount(obs::names::kCountEntries, num_children);
   };
@@ -878,16 +708,22 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   // Pair bounds are pure functions of the two (immutable) entries, and each
   // pick recomputes its list against every live entry — memoizing across
   // picks turns the per-round cost from |live|² kernel evaluations into
-  // lookups for every pair already seen.
+  // lookups for every pair already seen. The memo, keyed by the packed entry
+  // pair, can reach millions of nodes; it lives in a query-local arena that
+  // is freed in whole blocks on return (the map, declared after its arena,
+  // is destroyed first), so the next query does not pay for freeing and
+  // consolidating them one by one.
+  std::pmr::monotonic_buffer_resource memo_arena;
+  std::pmr::unordered_map<uint64_t, PairBoundsValue> memo(&memo_arena);
   auto pair_bounds = [&](const FlatEntry& a, const FlatEntry& b) {
-    auto [it, inserted] = mem->pair_bounds.try_emplace(
-        EntryPairKey{View::EntryKey(a.entry), View::EntryKey(b.entry)});
+    auto [it, inserted] =
+        memo.try_emplace((uint64_t{a.entry} << 32) | b.entry);
     if (inserted) {
       const TextBounds tb =
-          ViewPairTextBounds(view, a.entry, b.entry, scorer.text());
+          frozen::PairTextBounds(tree, a.entry, b.entry, scorer.text());
       ++result.stats.bound_computations;
-      const Rect& ra = view.RectOf(a.entry);
-      const Rect& rb = view.RectOf(b.entry);
+      const Rect& ra = tree.EntryRect(a.entry);
+      const Rect& rb = tree.EntryRect(b.entry);
       it->second.mn = alpha * scorer.SpatialSim(MaxDistance(ra, rb)) +
                       (1.0 - alpha) * tb.min_sim;
       it->second.mx = alpha * scorer.SpatialSim(MinDistance(ra, rb)) +
@@ -896,15 +732,16 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
     return std::make_pair(it->second.mn, it->second.mx);
   };
 
-  const NodeRef root = view.Root();
-  mem->Claim(View::NodeKey(root));
-  view.Charge(root, options, &result.stats);
-  for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
-    add_entry(view.EntryAt(root, i), State::kUndecided);
+  const uint32_t root = tree.root();
+  mem->Claim(root);
+  ChargeNode(tree, root, options, &result.stats);
+  for (uint32_t e = tree.EntryBegin(root);
+       e < tree.EntryBegin(root) + tree.EntryCount(root); ++e) {
+    add_entry(e, State::kUndecided);
   }
 
   auto capacity = [&](const FlatEntry& fe) -> uint32_t {
-    const uint32_t n = view.Count(fe.entry);
+    const uint32_t n = tree.Count(fe.entry);
     return fe.contains_self && n > 0 ? n - 1 : n;
   };
 
@@ -920,8 +757,8 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
         if (!fe.alive || fe.state != State::kUndecided) continue;
         double priority = fe.q_max;
         if (options.expand == ExpandPolicy::kTextEntropy) {
-          priority +=
-              options.entropy_weight * ViewClusterEntropy(view, fe.entry);
+          priority += options.entropy_weight *
+                      frozen::ClusterEntropyOf(tree, fe.entry);
         }
         if (pick == SIZE_MAX || priority > best_priority) {
           pick = i;
@@ -950,7 +787,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
         if (cap == 0) continue;
         const auto [mn, mx] = pair_bounds(cand, entries[j]);
         contributions.push_back({mn, mx, cap});
-        if (!view.IsObject(entries[j].entry) && mx > best_blocker_score) {
+        if (!tree.IsObject(entries[j].entry) && mx > best_blocker_score) {
           best_blocker_score = mx;
           best_blocker = j;
         }
@@ -978,8 +815,8 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
     if (cand.q_max < knn_lower) {
       cand.state = State::kPruned;
       ++result.stats.pruned_entries;
-      explain.Record(view, cand.entry, cand.q_min, cand.q_max,
-                     view.IsObject(cand.entry)
+      explain.Record(tree, cand.entry, cand.q_min, cand.q_max,
+                     tree.IsObject(cand.entry)
                          ? obs::ExplainVerdict::kReportMiss
                          : obs::ExplainVerdict::kPrune,
                      obs::ExplainBound::kLowerBound, capacity(cand));
@@ -988,13 +825,13 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
     if (cand.q_min >= knn_upper) {
       cand.state = State::kReported;
       ++result.stats.reported_entries;
-      explain.Record(view, cand.entry, cand.q_min, cand.q_max,
+      explain.Record(tree, cand.entry, cand.q_min, cand.q_max,
                      obs::ExplainVerdict::kReportHit,
                      obs::ExplainBound::kUpperBound, capacity(cand));
-      CollectObjectIds(view, cand.entry, query.self, &result.answers);
+      CollectObjectIds(tree, cand.entry, query.self, &result.answers);
       continue;
     }
-    if (!view.IsObject(cand.entry)) {
+    if (!tree.IsObject(cand.entry)) {
       expand(pick);
     } else {
       // Exact candidate blocked by a coarse contributor: refine the most

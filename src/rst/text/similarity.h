@@ -67,6 +67,12 @@ inline SummarySpan AsSpan(const TextSummary& s) {
   return SummarySpan{AsSpan(s.uni), AsSpan(s.intr), s.count};
 }
 
+/// A document as a one-document summary (uni == intr == doc), without
+/// copying it: the span form of TextSummary::FromDoc.
+inline SummarySpan DocSpan(const TermVector& doc) {
+  return SummarySpan{AsSpan(doc), AsSpan(doc), 1};
+}
+
 /// Text relevance measures.
 ///
 ///  * kExtendedJaccard — EJ(u,v) = <u,v> / (|u|² + |v|² − <u,v>); the 2011

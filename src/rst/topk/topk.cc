@@ -13,10 +13,10 @@ namespace rst {
 namespace {
 
 struct QueueItem {
-  double score;       // upper bound for nodes, exact for objects
+  double score;   // upper bound for nodes, exact for objects
   bool is_object;
-  ObjectId id;        // object id, or arbitrary for nodes
-  const IurTree::Node* node;  // nullptr for objects
+  ObjectId id;    // object id, or 0 for nodes
+  uint32_t node;  // frozen node index; unused for objects
 
   /// Max-heap by score; objects before nodes at equal score (their score is
   /// exact and can be emitted); then ascending id for determinism.
@@ -29,26 +29,14 @@ struct QueueItem {
 
 }  // namespace
 
-double TopKSearcher::UpperBound(const IurTree::Entry& entry,
-                                const TopKQuery& query) const {
-  const TextSummary qsum = TextSummary::FromDoc(*query.doc);
-  const TextBounds tb = EntryTextBounds(entry, qsum, scorer_->text());
-  const double spatial =
-      scorer_->SpatialSim(MinDistance(query.loc, entry.rect));
-  return scorer_->options().alpha * spatial +
-         (1.0 - scorer_->options().alpha) * tb.max_sim;
-}
-
 namespace {
 
 /// True iff `candidate` contains every term of `required`.
-bool ContainsAllTerms(const TermVector& candidate, const TermVector& required) {
-  return candidate.OverlapCount(required) == required.size();
+bool ContainsAllTerms(const TermSpan& candidate, const TermVector& required) {
+  return OverlapCountSpan(candidate.data, candidate.len,
+                          required.entries().data(), required.size()) ==
+         required.size();
 }
-
-}  // namespace
-
-namespace {
 
 /// Cached registry handles — Search runs microseconds-hot (the precompute
 /// baseline and the MaxBRSTkNN joint algorithm issue one per object/user),
@@ -83,7 +71,7 @@ std::vector<TopKResult> TopKSearcher::Search(const TopKQuery& query,
   if (query.k == 0 || tree_->size() == 0) return results;
   Stopwatch timer;
   obs::TraceSpan search_span(trace, obs::names::kSpanTopkSearch);
-  const TextSummary qsum = TextSummary::FromDoc(*query.doc);
+  const SummarySpan qsum = DocSpan(*query.doc);
   const double alpha = scorer_->options().alpha;
   uint64_t pops = 0;
   uint64_t expansions = 0;
@@ -100,27 +88,31 @@ std::vector<TopKResult> TopKSearcher::Search(const TopKQuery& query,
     }
     tree_->ChargeAccess(item.node, stats);
     ++expansions;
-    for (const IurTree::Entry& e : item.node->entries) {
-      if (e.is_object()) {
-        if (e.id == query.exclude) continue;
-        const StObject& obj = dataset_->object(e.id);
+    const uint32_t first = tree_->EntryBegin(item.node);
+    for (uint32_t e = first; e < first + tree_->EntryCount(item.node); ++e) {
+      if (tree_->IsObject(e)) {
+        const ObjectId id = tree_->ObjectIdOf(e);
+        if (id == query.exclude) continue;
+        const StObject& obj = dataset_->object(id);
         if (query.require_all_terms &&
-            !ContainsAllTerms(obj.doc, *query.doc)) {
+            !ContainsAllTerms(AsSpan(obj.doc), *query.doc)) {
           continue;
         }
         const double score =
             scorer_->Score(obj.loc, obj.doc, query.loc, *query.doc);
-        pq.push({score, true, e.id, nullptr});
+        pq.push({score, true, id, 0});
       } else {
         if (query.require_all_terms &&
-            !ContainsAllTerms(e.summary.uni, *query.doc)) {
+            !ContainsAllTerms(tree_->Summary(e).uni, *query.doc)) {
           continue;  // some required term appears nowhere in the subtree
         }
-        const TextBounds tb = EntryTextBounds(e, qsum, scorer_->text());
+        const TextBounds tb =
+            frozen::SummaryTextBounds(*tree_, e, qsum, scorer_->text());
         const double upper =
-            alpha * scorer_->SpatialSim(MinDistance(query.loc, e.rect)) +
+            alpha * scorer_->SpatialSim(
+                        MinDistance(query.loc, tree_->EntryRect(e))) +
             (1.0 - alpha) * tb.max_sim;
-        pq.push({upper, false, 0, e.child});
+        pq.push({upper, false, 0, tree_->Child(e)});
       }
     }
   }

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "rst/data/dataset.h"
-#include "rst/iurtree/iurtree.h"
+#include "rst/frozen/frozen.h"
 #include "rst/storage/io_stats.h"
 #include "rst/text/similarity.h"
 
@@ -28,21 +28,21 @@ struct TopKQuery {
   size_t k = 10;
   /// Optionally exclude one object (used when computing an object's own kNN
   /// among the rest of the collection).
-  ObjectId exclude = IurTree::kNoObject;
+  ObjectId exclude = frozen::FrozenTree::kNoObject;
   /// Boolean AND semantics: only objects containing *every* query term
   /// qualify (ranking among qualifiers unchanged). Subtrees whose union
   /// vector misses a query term are pruned wholesale.
   bool require_all_terms = false;
 };
 
-/// Best-first top-k search over an IUR-/IR-tree (Cong et al. 2009 style):
-/// a max-priority queue keyed by the node upper-bound score; objects pop with
-/// their exact score and are final once no node can beat them. Bounds are
-/// cluster-aware on CIUR-trees.
+/// Best-first top-k search over a frozen IUR-/IR-tree snapshot (Cong et al.
+/// 2009 style): a max-priority queue keyed by the node upper-bound score;
+/// objects pop with their exact score and are final once no node can beat
+/// them. Bounds are cluster-aware on CIUR-trees.
 class TopKSearcher {
  public:
   /// All referents must outlive the searcher.
-  TopKSearcher(const IurTree* tree, const Dataset* dataset,
+  TopKSearcher(const frozen::FrozenTree* tree, const Dataset* dataset,
                const StScorer* scorer)
       : tree_(tree), dataset_(dataset), scorer_(scorer) {}
 
@@ -55,12 +55,8 @@ class TopKSearcher {
                                  IoStats* stats = nullptr,
                                  obs::QueryTrace* trace = nullptr) const;
 
-  /// Upper-bound combined score of `entry` w.r.t. the query (exposed for the
-  /// algorithms built on top).
-  double UpperBound(const IurTree::Entry& entry, const TopKQuery& query) const;
-
  private:
-  const IurTree* tree_;
+  const frozen::FrozenTree* tree_;
   const Dataset* dataset_;
   const StScorer* scorer_;
 };

@@ -35,13 +35,13 @@ std::vector<ObjectId> Answers(const RstknnSearcher& rst,
 
 TEST(EdgeCaseTest, EmptyDataset) {
   Dataset d = TinyDataset({});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree snapshot =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   const TermVector qdoc = TermVector::FromTerms({1});
-  TopKSearcher topk(&tree, &d, &scorer);
+  TopKSearcher topk(&snapshot, &d, &scorer);
   EXPECT_TRUE(topk.Search({Point{0, 0}, &qdoc, 5, IurTree::kNoObject}).empty());
-  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
   RstknnSearcher rst(&snapshot, &d, &scorer);
   EXPECT_TRUE(
       Answers(rst, {Point{0, 0}, &qdoc, 5, IurTree::kNoObject}).empty());
@@ -137,7 +137,8 @@ TEST(EdgeCaseTest, ObjectWithEmptyDocument) {
 TEST(EdgeCaseTest, UserWithNoKeywords) {
   Dataset d = TinyDataset({{Point{0, 0}, {0}}, {Point{3, 3}, {1}}},
                           Weighting::kLanguageModel);
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kSum, &d.corpus_max());
   StScorer scorer(&sim, {0.5, d.max_dist()});
   JointTopKProcessor proc(&tree, &d, &scorer);
@@ -179,13 +180,15 @@ TEST(EdgeCaseTest, MiurWithSingleUser) {
   config.num_objects = 200;
   config.seed = 3;
   Dataset d = GenFlickrLike(config, {Weighting::kLanguageModel, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kSum, &d.corpus_max());
   StScorer scorer(&sim, {0.5, d.max_dist()});
   std::vector<StUser> users(1);
   users[0] = {0, d.object(10).loc,
               TermVector::FromTerms({d.object(10).raw.term_counts[0].first})};
-  const IurTree user_tree = IurTree::BuildFromUsers(users, {});
+  const frozen::FrozenTree user_tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromUsers(users, {}));
   MaxBrstQuery query;
   query.locations = {d.object(10).loc};
   query.keywords = {users[0].keywords.entries()[0].term};

@@ -1,8 +1,8 @@
 // Cross-module integration tests: every algorithm variant must agree with
 // its oracle end-to-end on a shared mid-size world, datasets must survive a
 // save/load round trip with bit-identical query results, and the index
-// storage must decode back to the in-memory structures. RSTkNN searches the
-// frozen snapshots of the shared trees.
+// storage must decode back to the in-memory structures. Every query reads
+// the frozen snapshots of the shared trees.
 
 #include <gtest/gtest.h>
 
@@ -72,7 +72,7 @@ TEST_F(IntegrationTest, AllRstknnVariantsAgreeWithOracle) {
     StScorer scorer(&sim, {alpha, dataset_->max_dist()});
     RstknnSearcher on_iur(frozen_iur_.get(), dataset_.get(), &scorer);
     RstknnSearcher on_ciur(frozen_ciur_.get(), dataset_.get(), &scorer);
-    PrecomputeBaseline baseline(iur_.get(), dataset_.get(), &scorer);
+    PrecomputeBaseline baseline(frozen_iur_.get(), dataset_.get(), &scorer);
     baseline.Build(7);
     for (ObjectId qid : {3u, 444u, 1200u}) {
       const StObject& q = dataset_->object(qid);
@@ -117,7 +117,7 @@ TEST_F(IntegrationTest, FullBichromaticPipelineAgrees) {
   TextSimilarity sim(TextMeasure::kSum, &dataset_->corpus_max());
   StScorer scorer(&sim, {0.5, dataset_->max_dist()});
 
-  JointTopKProcessor proc(iur_.get(), dataset_.get(), &scorer);
+  JointTopKProcessor proc(frozen_iur_.get(), dataset_.get(), &scorer);
   const JointTopKResult joint = proc.Process(gen.users, 8);
 
   MaxBrstQuery query;
@@ -136,8 +136,10 @@ TEST_F(IntegrationTest, FullBichromaticPipelineAgrees) {
   IurTreeOptions uopts;
   uopts.max_entries = 8;
   uopts.min_entries = 3;
-  const IurTree user_tree = IurTree::BuildFromUsers(gen.users, uopts);
-  MiurMaxBrstSolver miur(iur_.get(), dataset_.get(), &scorer, &user_tree, &gen.users);
+  const frozen::FrozenTree user_tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromUsers(gen.users, uopts));
+  MiurMaxBrstSolver miur(frozen_iur_.get(), dataset_.get(), &scorer,
+                         &user_tree, &gen.users);
   EXPECT_EQ(miur.Solve(query, KeywordSelect::kExact).best.coverage(),
             oracle.coverage());
 }

@@ -4,6 +4,7 @@
 
 #include "rst/common/rng.h"
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/topk/topk.h"
 
@@ -22,6 +23,20 @@ std::function<const TermVector*(uint32_t)> DocLookup(const Dataset& d) {
   return [&d](uint32_t id) -> const TermVector* {
     return id < d.size() ? &d.object(id).doc : nullptr;
   };
+}
+
+/// Object ids under frozen entry `e`: the object itself, or every object in
+/// the preorder node range of its subtree.
+std::vector<uint32_t> ObjectsUnder(const frozen::FrozenTree& tree, uint32_t e) {
+  if (tree.IsObject(e)) return {tree.ObjectIdOf(e)};
+  std::vector<uint32_t> ids;
+  for (uint32_t n = tree.Child(e); n < tree.SubtreeEnd(tree.Child(e)); ++n) {
+    const uint32_t first = tree.EntryBegin(n);
+    for (uint32_t x = first; x < first + tree.EntryCount(n); ++x) {
+      if (tree.IsObject(x)) ids.push_back(tree.ObjectIdOf(x));
+    }
+  }
+  return ids;
 }
 
 TEST(IurTreeTest, BulkLoadInvariants) {
@@ -130,28 +145,22 @@ TEST(IurTreeTest, ClusteredBoundsAreTighterOrEqual) {
   ClusteringOptions copts;
   copts.num_clusters = 8;
   const ClusteringResult clusters = ClusterDocuments(docs, copts);
-  const IurTree plain = IurTree::BuildFromDataset(d, {});
-  const IurTree ciur = IurTree::BuildFromDataset(d, {}, &clusters.assignment);
+  const frozen::FrozenTree plain =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
+  const frozen::FrozenTree ciur = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(d, {}, &clusters.assignment));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
-  const TextSummary query = TextSummary::FromDoc(d.object(3).doc);
+  const SummarySpan query = DocSpan(d.object(3).doc);
 
-  // Compare bounds on the root children covering the same object sets is not
-  // possible node-by-node (tree shapes match: same STR order). Walk both
-  // trees in lockstep.
-  std::function<void(const IurTree::Node*, const IurTree::Node*)> walk =
-      [&](const IurTree::Node* a, const IurTree::Node* b) {
-        ASSERT_EQ(a->entries.size(), b->entries.size());
-        for (size_t i = 0; i < a->entries.size(); ++i) {
-          const TextBounds ba = EntryTextBounds(a->entries[i], query, sim);
-          const TextBounds bb = EntryTextBounds(b->entries[i], query, sim);
-          EXPECT_LE(ba.min_sim, bb.min_sim + 1e-9);
-          EXPECT_GE(ba.max_sim, bb.max_sim - 1e-9);
-          if (!a->entries[i].is_object()) {
-            walk(a->entries[i].child, b->entries[i].child);
-          }
-        }
-      };
-  walk(plain.root(), ciur.root());
+  // Both trees share one STR order, hence one shape and one preorder entry
+  // numbering: entry e covers the same objects in both.
+  ASSERT_EQ(plain.num_entries(), ciur.num_entries());
+  for (uint32_t e = 0; e < plain.num_entries(); ++e) {
+    const TextBounds ba = frozen::SummaryTextBounds(plain, e, query, sim);
+    const TextBounds bb = frozen::SummaryTextBounds(ciur, e, query, sim);
+    EXPECT_LE(ba.min_sim, bb.min_sim + 1e-9);
+    EXPECT_GE(ba.max_sim, bb.max_sim - 1e-9);
+  }
 }
 
 TEST(IurTreeTest, ClusterAwareBoundsStillBracketTruth) {
@@ -162,37 +171,20 @@ TEST(IurTreeTest, ClusterAwareBoundsStillBracketTruth) {
   copts.num_clusters = 5;
   copts.outlier_threshold = 0.15;
   const ClusteringResult clusters = ClusterDocuments(docs, copts);
-  const IurTree tree = IurTree::BuildFromDataset(d, {}, &clusters.assignment);
+  const frozen::FrozenTree tree = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(d, {}, &clusters.assignment));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   const TermVector& qdoc = d.object(11).doc;
-  const TextSummary query = TextSummary::FromDoc(qdoc);
 
-  std::function<void(const IurTree::Node*)> walk = [&](const IurTree::Node*
-                                                           node) {
-    for (const IurTree::Entry& e : node->entries) {
-      const TextBounds b = EntryTextBounds(e, query, sim);
-      // Collect subtree docs and verify bracket.
-      std::vector<uint32_t> ids;
-      std::function<void(const IurTree::Entry&)> collect =
-          [&](const IurTree::Entry& entry) {
-            if (entry.is_object()) {
-              ids.push_back(entry.id);
-            } else {
-              for (const IurTree::Entry& ce : entry.child->entries) {
-                collect(ce);
-              }
-            }
-          };
-      collect(e);
-      for (uint32_t id : ids) {
-        const double s = sim.Sim(d.object(id).doc, qdoc);
-        EXPECT_LE(b.min_sim, s + 1e-9);
-        EXPECT_GE(b.max_sim, s - 1e-9);
-      }
-      if (!e.is_object()) walk(e.child);
+  for (uint32_t e = 0; e < tree.num_entries(); ++e) {
+    const TextBounds b =
+        frozen::SummaryTextBounds(tree, e, DocSpan(qdoc), sim);
+    for (uint32_t id : ObjectsUnder(tree, e)) {
+      const double s = sim.Sim(d.object(id).doc, qdoc);
+      EXPECT_LE(b.min_sim, s + 1e-9);
+      EXPECT_GE(b.max_sim, s - 1e-9);
     }
-  };
-  walk(tree.root());
+  }
 }
 
 TEST(IurTreeTest, StorageAccountingCharges) {
@@ -200,8 +192,9 @@ TEST(IurTreeTest, StorageAccountingCharges) {
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   EXPECT_GT(tree.IndexBytes(), 0u);
   EXPECT_GT(tree.page_store().num_pages(), 0u);
+  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
   IoStats stats;
-  tree.ChargeAccess(tree.root(), &stats);
+  snapshot.ChargeAccess(snapshot.root(), &stats);
   EXPECT_EQ(stats.node_reads, 1u);
   EXPECT_GE(stats.payload_blocks, 1u);
 }
@@ -229,27 +222,17 @@ TEST(IurTreeTest, StoredInvertedFileDecodesAndMatchesSummaries) {
 
 TEST(IurTreeTest, EntryPairBoundsBracketCrossPairs) {
   const Dataset d = SmallDataset(300, 23);
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
-  const IurTree::Node* root = tree.root();
-  ASSERT_FALSE(root->leaf);
-  ASSERT_GE(root->entries.size(), 2u);
-  const IurTree::Entry& a = root->entries[0];
-  const IurTree::Entry& b = root->entries[1];
-  const TextBounds bounds = EntryPairTextBounds(a, b, sim);
-  std::vector<uint32_t> ids_a, ids_b;
-  std::function<void(const IurTree::Entry&, std::vector<uint32_t>*)> collect =
-      [&](const IurTree::Entry& e, std::vector<uint32_t>* out) {
-        if (e.is_object()) {
-          out->push_back(e.id);
-        } else {
-          for (const IurTree::Entry& ce : e.child->entries) collect(ce, out);
-        }
-      };
-  collect(a, &ids_a);
-  collect(b, &ids_b);
-  for (uint32_t ia : ids_a) {
-    for (uint32_t ib : ids_b) {
+  const uint32_t root = tree.root();
+  ASSERT_FALSE(tree.IsLeaf(root));
+  ASSERT_GE(tree.EntryCount(root), 2u);
+  const uint32_t a = tree.EntryBegin(root);
+  const uint32_t b = a + 1;
+  const TextBounds bounds = frozen::PairTextBounds(tree, a, b, sim);
+  for (uint32_t ia : ObjectsUnder(tree, a)) {
+    for (uint32_t ib : ObjectsUnder(tree, b)) {
       const double s = sim.Sim(d.object(ia).doc, d.object(ib).doc);
       EXPECT_LE(bounds.min_sim, s + 1e-9);
       EXPECT_GE(bounds.max_sim, s - 1e-9);
@@ -317,9 +300,10 @@ TEST(IurTreeTest, DeleteThenQueryStaysExact) {
     alive[id] = false;
   }
   tree.FinalizeStorage();
+  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
-  TopKSearcher searcher(&tree, &d, &scorer);
+  TopKSearcher searcher(&snapshot, &d, &scorer);
   const StObject& q = d.object(7);
   TopKQuery query{q.loc, &q.doc, 10, IurTree::kNoObject};
   const auto got = searcher.Search(query);
@@ -355,14 +339,34 @@ TEST(IurTreeTest, DeleteDownToEmpty) {
 }
 
 TEST(IurTreeTest, EntropyHigherForMixedNodes) {
-  IurTree::Entry mixed;
-  mixed.clusters = {{0, {TermVector(), TermVector(), 5}},
-                    {1, {TermVector(), TermVector(), 5}}};
-  IurTree::Entry pure;
-  pure.clusters = {{0, {TermVector(), TermVector(), 10}}};
-  EXPECT_GT(EntryClusterEntropy(mixed), EntryClusterEntropy(pure));
-  IurTree::Entry unclustered;
-  EXPECT_EQ(EntryClusterEntropy(unclustered), 0.0);
+  const Dataset d = SmallDataset(600, 29);
+  std::vector<TermVector> docs;
+  for (const StObject& o : d.objects()) docs.push_back(o.doc);
+  ClusteringOptions copts;
+  copts.num_clusters = 6;
+  const ClusteringResult clusters = ClusterDocuments(docs, copts);
+  const frozen::FrozenTree ciur = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(d, {}, &clusters.assignment));
+  // A topic-pure entry (one cluster, e.g. every object) has entropy 0; a
+  // mixed one has more.
+  size_t pure = 0;
+  size_t mixed = 0;
+  for (uint32_t e = 0; e < ciur.num_entries(); ++e) {
+    if (ciur.NumClusters(e) == 1) {
+      EXPECT_EQ(frozen::ClusterEntropyOf(ciur, e), 0.0);
+      ++pure;
+    } else {
+      EXPECT_GT(frozen::ClusterEntropyOf(ciur, e), 0.0);
+      ++mixed;
+    }
+  }
+  EXPECT_GT(pure, 0u);
+  EXPECT_GT(mixed, 0u);
+  const frozen::FrozenTree unclustered =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
+  for (uint32_t e = 0; e < unclustered.num_entries(); ++e) {
+    EXPECT_EQ(frozen::ClusterEntropyOf(unclustered, e), 0.0);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "churned_snapshots.h"
 #include "rst/data/generators.h"
+#include "rst/iurtree/cluster.h"
 
 namespace rst {
 namespace {
@@ -10,17 +12,16 @@ namespace {
 struct JointFixture {
   Dataset dataset;
   GeneratedUsers gen;
-  IurTree tree;
+  frozen::FrozenTree tree;
   TextSimilarity sim;
   StScorer scorer;
 
   JointFixture(size_t num_objects, size_t num_users, Weighting weighting,
                double alpha, uint64_t seed = 1)
-      : tree(IurTree::Build({}, {})),
-        // Placeholder measure: kSum requires corpus-max normalizers, which
-        // exist only after the dataset is generated in the body (reassigned
-        // there). EJ keeps the pre-init state assert-clean in Debug builds.
-        sim(TextMeasure::kExtendedJaccard),
+      // Placeholder measure: kSum requires corpus-max normalizers, which
+      // exist only after the dataset is generated in the body (reassigned
+      // there). EJ keeps the pre-init state assert-clean in Debug builds.
+      : sim(TextMeasure::kExtendedJaccard),
         scorer(&sim, {alpha, 1.0}) {
     FlickrLikeConfig config;
     config.num_objects = num_objects;
@@ -32,7 +33,7 @@ struct JointFixture {
     ucfg.area_extent = 25.0;
     ucfg.seed = seed + 5;
     gen = GenUsers(dataset, ucfg);
-    tree = IurTree::BuildFromDataset(dataset, {});
+    tree = frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
     sim = TextSimilarity(TextMeasure::kSum, &dataset.corpus_max());
     scorer = StScorer(&sim, {alpha, dataset.max_dist()});
   }
@@ -131,6 +132,31 @@ TEST(JointTopKTest, MatchesBaselineAndUsesLessIo) {
   }
   // The whole point of joint processing: shared I/O beats per-user I/O.
   EXPECT_LT(joint.io.TotalIos(), baseline.io.TotalIos());
+}
+
+TEST(JointTopKTest, ChurnedAndReloadedSnapshotsMatchBruteForce) {
+  JointFixture f(1200, 25, Weighting::kLanguageModel, 0.5, 23);
+  std::vector<TermVector> docs;
+  for (const StObject& o : f.dataset.objects()) docs.push_back(o.doc);
+  ClusteringOptions copts;
+  copts.num_clusters = 6;
+  const ClusteringResult clusters = ClusterDocuments(docs, copts);
+  const size_t k = 6;
+  for (const bool clustered : {false, true}) {
+    const std::vector<frozen::FrozenTree> snapshots = ChurnedSnapshots(
+        f.dataset, clustered ? &clusters.assignment : nullptr, "joint_topk");
+    ASSERT_EQ(snapshots.size(), 3u);
+    for (size_t s = 0; s < snapshots.size(); ++s) {
+      JointTopKProcessor proc(&snapshots[s], &f.dataset, &f.scorer);
+      const JointTopKResult joint = proc.Process(f.gen.users, k);
+      for (const StUser& u : f.gen.users) {
+        TopKQuery q{u.loc, &u.keywords, k, IurTree::kNoObject};
+        EXPECT_EQ(joint.per_user[u.id], BruteForceTopK(f.dataset, f.scorer, q))
+            << "clustered=" << clustered << " snapshot=" << s
+            << " user=" << u.id;
+      }
+    }
+  }
 }
 
 TEST(JointTopKTest, AlphaExtremes) {

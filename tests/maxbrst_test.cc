@@ -10,18 +10,17 @@ namespace {
 struct BrstFixture {
   Dataset dataset;
   GeneratedUsers gen;
-  IurTree tree;
+  frozen::FrozenTree tree;
   TextSimilarity sim;
   StScorer scorer;
   std::vector<double> rsk;
 
   BrstFixture(size_t num_objects, size_t num_users, size_t k, double alpha,
               Weighting weighting, uint64_t seed)
-      : tree(IurTree::Build({}, {})),
-        // Placeholder measure: kSum requires corpus-max normalizers, which
-        // exist only after the dataset is generated in the body (reassigned
-        // there). EJ keeps the pre-init state assert-clean in Debug builds.
-        sim(TextMeasure::kExtendedJaccard),
+      // Placeholder measure: kSum requires corpus-max normalizers, which
+      // exist only after the dataset is generated in the body (reassigned
+      // there). EJ keeps the pre-init state assert-clean in Debug builds.
+      : sim(TextMeasure::kExtendedJaccard),
         scorer(&sim, {alpha, 1.0}) {
     FlickrLikeConfig config;
     config.num_objects = num_objects;
@@ -34,7 +33,7 @@ struct BrstFixture {
     ucfg.num_unique_keywords = 12;
     ucfg.seed = seed + 1;
     gen = GenUsers(dataset, ucfg);
-    tree = IurTree::BuildFromDataset(dataset, {});
+    tree = frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
     sim = TextSimilarity(TextMeasure::kSum, &dataset.corpus_max());
     scorer = StScorer(&sim, {alpha, dataset.max_dist()});
     JointTopKProcessor proc(&tree, &dataset, &scorer);

@@ -10,18 +10,16 @@ namespace {
 struct MiurFixture {
   Dataset dataset;
   GeneratedUsers gen;
-  IurTree object_tree;
-  IurTree user_tree;
+  frozen::FrozenTree object_tree;
+  frozen::FrozenTree user_tree;
   TextSimilarity sim;
   StScorer scorer;
 
   MiurFixture(size_t num_objects, size_t num_users, uint64_t seed)
-      : object_tree(IurTree::Build({}, {})),
-        user_tree(IurTree::Build({}, {})),
-        // Placeholder measure: kSum requires corpus-max normalizers, which
-        // exist only after the dataset is generated in the body (reassigned
-        // there). EJ keeps the pre-init state assert-clean in Debug builds.
-        sim(TextMeasure::kExtendedJaccard),
+      // Placeholder measure: kSum requires corpus-max normalizers, which
+      // exist only after the dataset is generated in the body (reassigned
+      // there). EJ keeps the pre-init state assert-clean in Debug builds.
+      : sim(TextMeasure::kExtendedJaccard),
         scorer(&sim, {0.5, 1.0}) {
     FlickrLikeConfig config;
     config.num_objects = num_objects;
@@ -34,11 +32,13 @@ struct MiurFixture {
     ucfg.num_unique_keywords = 12;
     ucfg.seed = seed + 2;
     gen = GenUsers(dataset, ucfg);
-    object_tree = IurTree::BuildFromDataset(dataset, {});
+    object_tree =
+        frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
     IurTreeOptions uopts;
     uopts.max_entries = 8;  // small fan-out => deeper user tree, more pruning
     uopts.min_entries = 3;
-    user_tree = IurTree::BuildFromUsers(gen.users, uopts);
+    user_tree =
+        frozen::FrozenTree::Freeze(IurTree::BuildFromUsers(gen.users, uopts));
     sim = TextSimilarity(TextMeasure::kSum, &dataset.corpus_max());
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});
   }

@@ -63,10 +63,6 @@ std::vector<TermVector> RandomDocs(size_t count, uint64_t seed) {
   return docs;
 }
 
-SummarySpan DocSpan(const TermVector& doc) {
-  return SummarySpan{AsSpan(doc), AsSpan(doc), 1};
-}
-
 /// Every probe a search feeds the postings: each entry summary of the tree,
 /// random documents and a dataset document (a query).
 std::vector<SummarySpan> Probes(const frozen::FrozenTree& tree,

@@ -12,20 +12,18 @@ namespace {
 
 struct Fixture {
   Dataset dataset;
-  IurTree tree;
-  frozen::FrozenTree frozen;  ///< what RstknnSearcher searches
+  frozen::FrozenTree frozen;  ///< what every query reads
   TextSimilarity sim;
   StScorer scorer;
 
   Fixture(size_t n, TextMeasure measure, double alpha, uint64_t seed)
-      : tree(IurTree::Build({}, {})), sim(measure), scorer(&sim, {alpha, 1.0}) {
+      : sim(measure), scorer(&sim, {alpha, 1.0}) {
     FlickrLikeConfig config;
     config.num_objects = n;
     config.vocab_size = 200;
     config.seed = seed;
     dataset = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-    tree = IurTree::BuildFromDataset(dataset, {});
-    frozen = frozen::FrozenTree::Freeze(tree);
+    frozen = frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
     scorer = StScorer(&sim, {alpha, dataset.max_dist()});
   }
 };
@@ -200,7 +198,7 @@ TEST(RstknnTest, StatsArepopulated) {
 
 TEST(RstknnTest, PrecomputeBaselineMatchesBruteForce) {
   Fixture f(220, TextMeasure::kExtendedJaccard, 0.5, 17);
-  PrecomputeBaseline baseline(&f.tree, &f.dataset, &f.scorer);
+  PrecomputeBaseline baseline(&f.frozen, &f.dataset, &f.scorer);
   IoStats build_io;
   baseline.Build(5, &build_io);
   EXPECT_TRUE(baseline.built());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "churned_snapshots.h"
 #include "rst/common/rng.h"
 #include "rst/data/generators.h"
 #include "rst/iurtree/cluster.h"
@@ -23,7 +24,8 @@ TEST_P(TopKParamTest, MatchesBruteForce) {
   config.num_objects = 1500;
   config.vocab_size = 400;
   const Dataset d = GenFlickrLike(config, {param.weighting, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(param.measure, &d.corpus_max());
   StScorer scorer(&sim, {param.alpha, d.max_dist()});
   TopKSearcher searcher(&tree, &d, &scorer);
@@ -68,7 +70,8 @@ TEST(TopKTest, UserKeywordQueriesMatchBruteForce) {
   config.num_objects = 2000;
   const Dataset d = GenFlickrLike(config, {Weighting::kLanguageModel, 0.1});
   const GeneratedUsers gen = GenUsers(d, {});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kSum, &d.corpus_max());
   StScorer scorer(&sim, {0.5, d.max_dist()});
   TopKSearcher searcher(&tree, &d, &scorer);
@@ -86,7 +89,8 @@ TEST(TopKTest, ExclusionRemovesSelf) {
   FlickrLikeConfig config;
   config.num_objects = 500;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   TopKSearcher searcher(&tree, &d, &scorer);
@@ -106,7 +110,8 @@ TEST(TopKTest, KLargerThanDataset) {
   FlickrLikeConfig config;
   config.num_objects = 20;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   TopKSearcher searcher(&tree, &d, &scorer);
@@ -126,8 +131,10 @@ TEST(TopKTest, ClusteredTreeSameAnswersLowerOrEqualWork) {
   ClusteringOptions copts;
   copts.num_clusters = 8;
   const ClusteringResult clusters = ClusterDocuments(docs, copts);
-  const IurTree plain = IurTree::BuildFromDataset(d, {});
-  const IurTree ciur = IurTree::BuildFromDataset(d, {}, &clusters.assignment);
+  const frozen::FrozenTree plain =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
+  const frozen::FrozenTree ciur = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(d, {}, &clusters.assignment));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.3, d.max_dist()});
   TopKSearcher plain_search(&plain, &d, &scorer);
@@ -143,12 +150,45 @@ TEST(TopKTest, ClusteredTreeSameAnswersLowerOrEqualWork) {
   }
 }
 
+TEST(TopKTest, ChurnedAndReloadedSnapshotsMatchBruteForce) {
+  FlickrLikeConfig config;
+  config.num_objects = 1200;
+  config.vocab_size = 300;
+  const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
+  std::vector<TermVector> docs;
+  for (const StObject& o : d.objects()) docs.push_back(o.doc);
+  ClusteringOptions copts;
+  copts.num_clusters = 6;
+  const ClusteringResult clusters = ClusterDocuments(docs, copts);
+  TextSimilarity sim(TextMeasure::kExtendedJaccard);
+  StScorer scorer(&sim, {0.4, d.max_dist()});
+  for (const bool clustered : {false, true}) {
+    const std::vector<frozen::FrozenTree> snapshots = ChurnedSnapshots(
+        d, clustered ? &clusters.assignment : nullptr, "topk");
+    ASSERT_EQ(snapshots.size(), 3u);
+    for (size_t s = 0; s < snapshots.size(); ++s) {
+      EXPECT_EQ(snapshots[s].clustered(), clustered);
+      TopKSearcher searcher(&snapshots[s], &d, &scorer);
+      for (ObjectId id : {5u, 321u, 1100u}) {
+        const StObject& obj = d.object(id);
+        for (const bool all_terms : {false, true}) {
+          TopKQuery q{obj.loc, &obj.doc, 10, id, all_terms};
+          EXPECT_EQ(searcher.Search(q), BruteForceTopK(d, scorer, q))
+              << "clustered=" << clustered << " snapshot=" << s
+              << " query=" << id << " all_terms=" << all_terms;
+        }
+      }
+    }
+  }
+}
+
 TEST(TopKTest, BooleanAndSemanticsMatchBruteForce) {
   FlickrLikeConfig config;
   config.num_objects = 2000;
   config.vocab_size = 150;  // dense vocabulary so conjunctions have matches
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   TopKSearcher searcher(&tree, &d, &scorer);
@@ -188,7 +228,8 @@ TEST(TopKTest, BooleanModePrunesMoreThanRankedMode) {
   FlickrLikeConfig config;
   config.num_objects = 3000;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   TopKSearcher searcher(&tree, &d, &scorer);
@@ -207,7 +248,8 @@ TEST(TopKTest, IoGrowsWithK) {
   FlickrLikeConfig config;
   config.num_objects = 3000;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   TopKSearcher searcher(&tree, &d, &scorer);

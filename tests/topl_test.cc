@@ -12,18 +12,17 @@ namespace {
 struct TopLFixture {
   Dataset dataset;
   GeneratedUsers gen;
-  IurTree tree;
+  frozen::FrozenTree tree;
   TextSimilarity sim;
   StScorer scorer;
   std::vector<double> rsk;
   MaxBrstQuery query;
 
   TopLFixture()
-      : tree(IurTree::Build({}, {})),
-        // Placeholder measure: kSum requires corpus-max normalizers, which
-        // exist only after the dataset is generated in the body (reassigned
-        // there). EJ keeps the pre-init state assert-clean in Debug builds.
-        sim(TextMeasure::kExtendedJaccard),
+      // Placeholder measure: kSum requires corpus-max normalizers, which
+      // exist only after the dataset is generated in the body (reassigned
+      // there). EJ keeps the pre-init state assert-clean in Debug builds.
+      : sim(TextMeasure::kExtendedJaccard),
         scorer(&sim, {0.5, 1.0}) {
     FlickrLikeConfig config;
     config.num_objects = 800;
@@ -35,7 +34,7 @@ struct TopLFixture {
     ucfg.area_extent = 25.0;
     ucfg.seed = 92;
     gen = GenUsers(dataset, ucfg);
-    tree = IurTree::BuildFromDataset(dataset, {});
+    tree = frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
     sim = TextSimilarity(TextMeasure::kSum, &dataset.corpus_max());
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});
     JointTopKProcessor proc(&tree, &dataset, &scorer);

@@ -60,6 +60,10 @@ know about:
                             src/ -- library code must block on condition
                             variables or deadlines, never bare sleeps
                             (tests and bench drivers may sleep)
+  query-layout              the query subsystems (rstknn, topk, maxbrst)
+                            read frozen::FrozenTree only: no IurTree::Node,
+                            IurTree::Entry, or IurTree pointer/reference
+                            there (IurTree is the builder; DESIGN.md SS10)
   bad-suppression           a suppression comment without a reason
 
 Any finding is suppressible on its own line or the line above with
@@ -103,6 +107,7 @@ RULES = [
     "manual-lock",
     "thread-detach",
     "sleep-in-src",
+    "query-layout",
     "bad-suppression",
 ]
 
@@ -117,6 +122,19 @@ QUERY_PATH_DIRS = [
     # Fixture mirror so --self-test can exercise the rule.
     os.path.join("tools", "lint_fixtures", "bad", "querypath"),
 ]
+
+# Subsystems that answer queries. They read the frozen snapshot; the IurTree
+# node graph is the builder's and the Insert/Delete structure's alone.
+QUERY_LAYOUT_DIRS = [
+    os.path.join("src", "rst", d) for d in ("rstknn", "topk", "maxbrst")
+] + [
+    # Fixture mirrors so --self-test can exercise the rule.
+    os.path.join("tools", "lint_fixtures", "bad", "querylayout"),
+    os.path.join("tools", "lint_fixtures", "good", "querylayout"),
+]
+
+QUERY_LAYOUT_RE = re.compile(
+    r"\bIurTree::(?:Node|Entry)\b|\bIurTree\s*(?:const\s*)?[*&]")
 
 # Raw new/delete are allowed only here (page-store arenas and the documented
 # leaky singletons would otherwise all need suppressions).
@@ -385,6 +403,21 @@ def check_nondeterministic(f, findings, root):
                     f.path, idx + 1, "nondeterministic-query-path",
                     "%s in a deterministic query path; results must be a "
                     "pure function of (index, query)" % what))
+
+
+def check_query_layout(f, findings, root):
+    rel = os.path.relpath(f.path, root).replace(os.sep, "/")
+    if not any(rel.startswith(d.replace(os.sep, "/") + "/")
+               for d in QUERY_LAYOUT_DIRS):
+        return
+    for idx, code in enumerate(f.code_lines):
+        m = QUERY_LAYOUT_RE.search(code)
+        if m:
+            findings.append(Finding(
+                f.path, idx + 1, "query-layout",
+                "'%s' in a query subsystem; queries read "
+                "frozen::FrozenTree (IurTree is the builder and the "
+                "Insert/Delete structure only)" % m.group(0).strip()))
 
 
 def check_raw_new_delete(f, findings, root):
@@ -695,6 +728,7 @@ def lint_files(paths, root):
         check_unchecked_status(f, status_names, findings)
         check_metric_name_literal(f, findings)
         check_nondeterministic(f, findings, root)
+        check_query_layout(f, findings, root)
         check_raw_new_delete(f, findings, root)
         check_include_hygiene(f, findings, root)
         check_header_guard(f, findings, root)

@@ -16,6 +16,9 @@
 //   rstknn_cli maxbrst  --data F --users F2 --locations "x:y;x:y"
 //                       --keywords "1 2 3" --ws W --k K [--method exact]
 //
+// topk, rstknn and maxbrst each build the IUR-tree and query its frozen
+// snapshot (rst::frozen), the one layout every query reads.
+//
 // Common flags: --alpha A (0.5; a number in [0, 1], else exit 2),
 // --measure ej|cos|sum (ej; sum for maxbrst), --weighting tfidf|lm|binary
 // (tfidf), --seed S.
@@ -528,7 +531,8 @@ int CmdTopK(const Flags& flags) {
     return 1;
   }
   const Dataset& dataset = data.value();
-  const IurTree tree = IurTree::BuildFromDataset(dataset, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
   TextSimilarity sim(ParseMeasure(flags, TextMeasure::kExtendedJaccard),
                      &dataset.corpus_max());
   StScorer scorer(&sim, {flags.GetDouble("alpha", 0.5), dataset.max_dist()});
@@ -895,7 +899,8 @@ int CmdMaxBrst(const Flags& flags) {
     std::fprintf(stderr, "%s\n", users.status().ToString().c_str());
     return 1;
   }
-  const IurTree tree = IurTree::BuildFromDataset(dataset, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
   TextSimilarity sim(TextMeasure::kSum, &dataset.corpus_max());
   StScorer scorer(&sim, {flags.GetDouble("alpha", 0.5), dataset.max_dist()});
 
