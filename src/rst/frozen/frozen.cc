@@ -136,12 +136,15 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
 
   // The norm caches are copied from the source vectors; a summary whose intr
   // equals its uni (every leaf document) shares one pool slice.
-  auto make_ref = [&out](const TextSummary& s) {
+  auto shares_slice = [](const TextSummary& s) {
+    return s.intr.entries() == s.uni.entries();
+  };
+  auto make_ref = [&out, &shares_slice](const TextSummary& s) {
     SummaryRef ref;
     ref.count = s.count;
     ref.uni = AppendToPool(s.uni, &out.pool_);
     ref.uni_norm_sq = s.uni.NormSquared();
-    if (s.intr.entries() == s.uni.entries()) {
+    if (shares_slice(s)) {
       ref.intr = ref.uni;
       ref.intr_norm_sq = ref.uni_norm_sq;
     } else {
@@ -150,6 +153,46 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
     }
     return ref;
   };
+
+  // Counting pre-walk: the snapshot arrays are reserved at their exact
+  // sizes, so a refresh, during which the old and new snapshots coexist,
+  // never holds push_back's spare capacity.
+  size_t num_nodes = 0;
+  size_t num_entries = 0;
+  size_t num_clusters = 0;
+  size_t pool_terms = 0;
+  auto pool_need = [&shares_slice](const TextSummary& s) {
+    return s.uni.size() + (shares_slice(s) ? 0 : s.intr.size());
+  };
+  std::vector<const IurTree::Node*> pending = {tree.root()};
+  while (!pending.empty()) {
+    const IurTree::Node* node = pending.back();
+    pending.pop_back();
+    ++num_nodes;
+    num_entries += node->entries.size();
+    for (const IurTree::Entry& e : node->entries) {
+      if (!e.is_object()) pending.push_back(e.child);
+      pool_terms += pool_need(e.summary);
+      num_clusters += e.clusters.size();
+      for (const auto& cluster : e.clusters) {
+        pool_terms += pool_need(cluster.second);
+      }
+    }
+  }
+  out.node_leaf_.reserve(num_nodes);
+  out.node_entry_begin_.reserve(num_nodes);
+  out.node_entry_count_.reserve(num_nodes);
+  out.node_record_.reserve(num_nodes);
+  out.node_invfile_.reserve(num_nodes);
+  out.entry_rect_.reserve(num_entries);
+  out.entry_id_.reserve(num_entries);
+  out.entry_child_.reserve(num_entries);
+  out.entry_level_.reserve(num_entries);
+  out.entry_summary_.reserve(num_entries);
+  out.entry_cluster_begin_.reserve(num_entries);
+  out.entry_cluster_count_.reserve(num_entries);
+  out.clusters_.reserve(num_clusters);
+  out.pool_.reserve(pool_terms);
 
   // Layout walk: a stack traversal whose order is the explain numbering
   // (children pushed in reverse so they pop in entry order; a popped node's
@@ -162,7 +205,9 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
   };
   std::vector<Frame> stack = {{tree.root(), 0}};
   std::unordered_map<const IurTree::Node*, uint32_t> node_index;
+  node_index.reserve(num_nodes);
   std::vector<std::pair<uint32_t, const IurTree::Node*>> child_links;
+  child_links.reserve(num_nodes);
   while (!stack.empty()) {
     const Frame frame = stack.back();
     stack.pop_back();
@@ -240,34 +285,18 @@ void FrozenTree::SerializeNodePayloads(uint32_t node, PageStore* store) {
   }
   node_record_[node] = store->Write(record);
 
-  InvertedFile file;
-  for (uint32_t i = 0; i < count; ++i) {
-    const SummaryRef& s = entry_summary_[begin + i];
-    const TermWeight* uni = pool_.data() + s.uni.offset;
-    for (uint32_t t = 0; t < s.uni.len; ++t) {
-      file[uni[t].term].push_back(
-          {i, uni[t].weight,
-           GetSpan(pool_.data() + s.intr.offset, s.intr.len, uni[t].term)});
-    }
-  }
+  std::vector<SummarySpan> slots;
+  slots.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) slots.push_back(Summary(begin + i));
   std::string payload;
-  EncodeInvertedFile(file, &payload);
+  EncodeNodeInvertedFile(slots, &payload);
   if (clustered_) {
-    auto slice_vector = [this](const TermSlice& s) {
-      return TermVector::FromSorted(std::vector<TermWeight>(
-          pool_.begin() + static_cast<ptrdiff_t>(s.offset),
-          pool_.begin() + static_cast<ptrdiff_t>(s.offset) + s.len));
-    };
     for (uint32_t i = 0; i < count; ++i) {
       const uint32_t e = begin + i;
       PutVarint32(&payload, entry_cluster_count_[e]);
       for (uint32_t c = 0; c < entry_cluster_count_[e]; ++c) {
-        const ClusterRef& cluster = clusters_[entry_cluster_begin_[e] + c];
-        PutVarint32(&payload, cluster.cluster_id);
-        const TextSummary summary{slice_vector(cluster.summary.uni),
-                                  slice_vector(cluster.summary.intr),
-                                  cluster.summary.count};
-        EncodeTextSummary(summary, &payload);
+        PutVarint32(&payload, ClusterId(e, c));
+        EncodeTextSummary(ClusterSummary(e, c), &payload);
       }
     }
   }

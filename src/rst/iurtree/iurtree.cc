@@ -398,14 +398,19 @@ IurTree::InsertResult IurTree::InsertRec(Node* node, Entry entry,
         best_area = area;
       }
     }
+    // The slot absorbs the object on the way down: max, min and MBR
+    // extension are exact, so this equals re-merging the grown child.
     Entry& slot = node->entries[best];
+    slot.rect.Extend(entry.rect);
+    slot.summary = TextSummary::Merge(slot.summary, entry.summary);
+    if (!entry.clusters.empty()) {
+      slot.clusters = MergeClusterLists(slot.clusters, entry.clusters);
+    }
     InsertResult child_result =
         InsertRec(slot.child, std::move(entry), node_height - 1);
-    // Refresh the slot from its (possibly split) child.
-    Entry refreshed = MakeParentEntry(slot.child);
-    refreshed.id = kNoObject;
-    node->entries[best] = std::move(refreshed);
     if (child_result.split_off != nullptr) {
+      // The split moved entries to a new sibling: both are recomputed.
+      node->entries[best] = MakeParentEntry(slot.child);
       node->entries.push_back(MakeParentEntry(child_result.split_off));
     }
   }
@@ -443,14 +448,93 @@ void IurTree::Insert(uint32_t id, Point loc, const TermVector* doc,
 
 namespace {
 
-/// Recomputes a parent entry's rect/summary/clusters from its child node.
-void RefreshEntry(IurTree::Entry* e) {
+/// The entry of `v` holding `term`, or null. Presence, not weight: a
+/// zero-weight term is still a union term.
+const TermWeight* FindTerm(const TermVector& v, TermId term) {
+  const auto it = std::lower_bound(
+      v.entries().begin(), v.entries().end(), term,
+      [](const TermWeight& e, TermId t) { return e.term < t; });
+  return it != v.entries().end() && it->term == term ? &*it : nullptr;
+}
+
+/// Takes one removed group `gone` (an object's summary) out of `s`, whose
+/// remaining groups are `parts` (the child summaries, already exact; at least
+/// one). The intersection is refolded from the parts — intersections are
+/// short — and the union changes only at `gone`'s terms whose weight was the
+/// stored maximum: those become the maximum over the parts, or drop when no
+/// part holds them. Max and min are exact, so the result equals the merge of
+/// `parts`, norms included.
+void SubtractSummary(TextSummary* s, const TextSummary& gone,
+                     const std::vector<const TextSummary*>& parts) {
+  s->count -= gone.count;
+  TermVector intr = parts.front()->intr;
+  for (size_t i = 1; i < parts.size() && !intr.empty(); ++i) {
+    intr = TermVector::IntersectMin(intr, parts[i]->intr);
+  }
+  s->intr = std::move(intr);
+
+  std::vector<TermWeight> uni;  // copied on the first change only
+  size_t dropped = 0;
+  for (const TermWeight& g : gone.uni.entries()) {
+    const TermWeight* held = FindTerm(s->uni, g.term);
+    if (held == nullptr || held->weight != g.weight) continue;
+    bool present = false;
+    float max_weight = 0.0f;
+    for (const TextSummary* part : parts) {
+      if (const TermWeight* w = FindTerm(part->uni, g.term)) {
+        max_weight = present ? std::max(max_weight, w->weight) : w->weight;
+        present = true;
+      }
+    }
+    if (present && max_weight == held->weight) continue;
+    if (uni.empty()) uni = s->uni.entries();
+    TermWeight& slot = uni[held - s->uni.entries().data()];
+    if (present) {
+      slot.weight = max_weight;
+    } else {
+      slot.weight = -1.0f;  // marks a dropped term
+      ++dropped;
+    }
+  }
+  if (uni.empty()) return;
+  if (dropped > 0) {
+    uni.erase(std::remove_if(uni.begin(), uni.end(),
+                             [](const TermWeight& e) { return e.weight < 0; }),
+              uni.end());
+  }
+  s->uni = TermVector::FromSorted(std::move(uni));
+}
+
+/// Patches a parent entry after exactly one object, `removed`, left its
+/// (non-empty) child's subtree: O(children) work per summary instead of
+/// re-merging every child, with the same result as MakeParentEntry.
+void PatchAfterRemoval(IurTree::Entry* e, const IurTree::Entry& removed) {
+  const ArenaArray<IurTree::Entry>& children = e->child->entries;
   e->rect = e->child->ComputeMbr();
-  e->summary = TextSummary();
-  e->clusters.clear();
-  for (const IurTree::Entry& ce : e->child->entries) {
-    e->summary = TextSummary::Merge(e->summary, ce.summary);
-    e->clusters = MergeClusterLists(e->clusters, ce.clusters);
+  std::vector<const TextSummary*> parts;
+  parts.reserve(children.size());
+  for (const IurTree::Entry& ce : children) parts.push_back(&ce.summary);
+  SubtractSummary(&e->summary, removed.summary, parts);
+
+  for (const auto& [cluster_id, gone] : removed.clusters) {
+    const auto by_id = [](const std::pair<uint32_t, TextSummary>& c,
+                          uint32_t id) { return c.first < id; };
+    const auto it = std::lower_bound(e->clusters.begin(), e->clusters.end(),
+                                     cluster_id, by_id);
+    RST_DCHECK(it != e->clusters.end() && it->first == cluster_id);
+    if (it->second.count == gone.count) {
+      e->clusters.erase(it);
+      continue;
+    }
+    parts.clear();
+    for (const IurTree::Entry& ce : children) {
+      const auto c = std::lower_bound(ce.clusters.begin(), ce.clusters.end(),
+                                      cluster_id, by_id);
+      if (c != ce.clusters.end() && c->first == cluster_id) {
+        parts.push_back(&c->second);
+      }
+    }
+    SubtractSummary(&it->second, gone, parts);
   }
 }
 
@@ -471,10 +555,11 @@ void FlattenToObjects(IurTree::Entry entry, NodeArena* arena,
 }  // namespace
 
 bool IurTree::DeleteRec(Node* node, uint32_t id, const Rect& target,
-                        std::vector<Entry>* orphans) {
+                        Entry* removed, std::vector<Entry>* orphans) {
   if (node->leaf) {
     for (size_t i = 0; i < node->entries.size(); ++i) {
       if (node->entries[i].id == id && node->entries[i].rect == target) {
+        *removed = std::move(node->entries[i]);
         node->entries.erase(node->entries.begin() + i);
         return true;
       }
@@ -484,7 +569,7 @@ bool IurTree::DeleteRec(Node* node, uint32_t id, const Rect& target,
   for (size_t i = 0; i < node->entries.size(); ++i) {
     Entry& e = node->entries[i];
     if (!e.rect.Contains(target)) continue;
-    if (!DeleteRec(e.child, id, target, orphans)) continue;
+    if (!DeleteRec(e.child, id, target, removed, orphans)) continue;
     if (e.child->entries.size() < options_.min_entries) {
       // Condense: re-home the survivors, drop the underfull node.
       for (Entry& ce : e.child->entries) {
@@ -492,8 +577,11 @@ bool IurTree::DeleteRec(Node* node, uint32_t id, const Rect& target,
       }
       arena_->Destroy(e.child);
       node->entries.erase(node->entries.begin() + i);
+    } else if (orphans->empty() && !e.child->entries.empty()) {
+      // No condense below: exactly the removed object left this subtree.
+      PatchAfterRemoval(&e, *removed);
     } else {
-      RefreshEntry(&e);
+      e = MakeParentEntry(e.child);
     }
     return true;
   }
@@ -501,8 +589,9 @@ bool IurTree::DeleteRec(Node* node, uint32_t id, const Rect& target,
 }
 
 Status IurTree::Delete(uint32_t id, Point loc) {
+  Entry removed;
   std::vector<Entry> orphans;
-  if (!DeleteRec(root_, id, Rect::FromPoint(loc), &orphans)) {
+  if (!DeleteRec(root_, id, Rect::FromPoint(loc), &removed, &orphans)) {
     return Status::NotFound("no such (id, location)");
   }
   --size_;
@@ -553,16 +642,11 @@ void IurTree::SerializeNode(Node* node) {
 
   // Inverted file: per-term <child, maxw, minw> postings (the MIR-tree
   // content), plus the per-cluster summaries when clustered.
-  InvertedFile file;
-  for (size_t i = 0; i < node->entries.size(); ++i) {
-    const Entry& e = node->entries[i];
-    for (const TermWeight& tw : e.summary.uni.entries()) {
-      file[tw.term].push_back(
-          {static_cast<uint32_t>(i), tw.weight, e.summary.intr.Get(tw.term)});
-    }
-  }
+  std::vector<SummarySpan> slots;
+  slots.reserve(node->entries.size());
+  for (const Entry& e : node->entries) slots.push_back(AsSpan(e.summary));
   std::string payload;
-  EncodeInvertedFile(file, &payload);
+  EncodeNodeInvertedFile(slots, &payload);
   if (clustered_) {
     for (const Entry& e : node->entries) {
       PutVarint32(&payload, static_cast<uint32_t>(e.clusters.size()));

@@ -117,7 +117,10 @@ class IurTree {
   IurTree& operator=(IurTree&& other) noexcept;
   ~IurTree();
 
-  /// Dynamic insertion (quadratic split, summaries propagated upward).
+  /// Dynamic insertion (quadratic split). Each slot on the chosen path
+  /// absorbs the object's MBR, summary and cluster summary on the way down;
+  /// only a slot whose child splits, and the new sibling, are re-merged from
+  /// their children.
   /// Invalidates the serialized payloads until FinalizeStorage() is called
   /// again.
   void Insert(uint32_t id, Point loc, const TermVector* doc,
@@ -125,10 +128,12 @@ class IurTree {
   static constexpr uint32_t kNoCluster = 0xFFFFFFFFu;
 
   /// Removes the object `(id, loc)`; NotFound if absent. Underfull nodes are
-  /// condensed and their remaining objects re-inserted; intersection/union
-  /// summaries stay exact along every touched path (update costs mirror the
-  /// IR-tree, as the 2011 paper's cost analysis claims). Invalidates the
-  /// serialized payloads until FinalizeStorage().
+  /// condensed and their remaining objects re-inserted. The intersection/
+  /// union summaries stay exact along the path at O(path) cost: each parent
+  /// slot drops the object's count, refolds its (short) intersection and
+  /// re-maximizes its union only at the object's terms that held the maximum
+  /// (DESIGN.md §3.1); only slots above a condense are re-merged from their
+  /// children. Invalidates the serialized payloads until FinalizeStorage().
   Status Delete(uint32_t id, Point loc);
 
   /// (Re)serializes node records and inverted files into the page store.
@@ -166,7 +171,11 @@ class IurTree {
 
   struct InsertResult;
   InsertResult InsertRec(Node* node, Entry entry, size_t node_height);
-  bool DeleteRec(Node* node, uint32_t id, const Rect& target,
+  /// Removes the object from `node`'s subtree into `*removed`; survivors of
+  /// condensed nodes go to `orphans`. Each parent slot on the path is patched
+  /// in O(children) when only the removed object left its subtree, and
+  /// recomputed from its children after a condense.
+  bool DeleteRec(Node* node, uint32_t id, const Rect& target, Entry* removed,
                  std::vector<Entry>* orphans);
   void SplitNode(Node* node, Node** split_off);
   static Entry MakeParentEntry(Node* node);

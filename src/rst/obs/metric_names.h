@@ -125,6 +125,7 @@ inline constexpr char kMaxbrstPrefix[] = "maxbrst";
 inline constexpr char kMiurPrefix[] = "miur";
 inline constexpr char kMiurObjectIoPrefix[] = "miur.object_io";
 inline constexpr char kMiurUserIoPrefix[] = "miur.user_io";
+inline constexpr char kTopkIoPrefix[] = "topk.io";
 inline constexpr char kJointTopkIoPrefix[] = "joint_topk.io";
 inline constexpr char kJointTopkBaselineIoPrefix[] = "joint_topk.baseline.io";
 

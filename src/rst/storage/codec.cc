@@ -7,14 +7,22 @@
 
 namespace rst {
 
-void EncodeTermVector(const TermVector& vec, std::string* dst) {
-  PutVarint32(dst, static_cast<uint32_t>(vec.size()));
+namespace {
+
+void EncodeTermSpan(const TermSpan& span, std::string* dst) {
+  PutVarint32(dst, span.len);
   TermId prev = 0;
-  for (const TermWeight& e : vec.entries()) {
-    PutVarint32(dst, e.term - prev);
-    PutFloat(dst, e.weight);
-    prev = e.term;
+  for (const TermWeight* e = span.data; e != span.data + span.len; ++e) {
+    PutVarint32(dst, e->term - prev);
+    PutFloat(dst, e->weight);
+    prev = e->term;
   }
+}
+
+}  // namespace
+
+void EncodeTermVector(const TermVector& vec, std::string* dst) {
+  EncodeTermSpan(AsSpan(vec), dst);
 }
 
 Status DecodeTermVector(const std::string& src, size_t* offset,
@@ -44,10 +52,10 @@ Status DecodeTermVector(const std::string& src, size_t* offset,
   return Status::Ok();
 }
 
-void EncodeTextSummary(const TextSummary& summary, std::string* dst) {
+void EncodeTextSummary(const SummarySpan& summary, std::string* dst) {
   PutVarint32(dst, summary.count);
-  EncodeTermVector(summary.uni, dst);
-  EncodeTermVector(summary.intr, dst);
+  EncodeTermSpan(summary.uni, dst);
+  EncodeTermSpan(summary.intr, dst);
 }
 
 Status DecodeTextSummary(const std::string& src, size_t* offset,
@@ -101,6 +109,59 @@ void EncodeInvertedFile(const InvertedFile& file, std::string* dst) {
   for (const auto& [term, postings] : file) {
     PutVarint32(dst, term - prev);
     EncodePostingList(postings, dst);
+    prev = term;
+  }
+}
+
+void EncodeNodeInvertedFile(const std::vector<SummarySpan>& slots,
+                            std::string* dst) {
+  struct Gathered {
+    uint64_t key;  ///< term << 32 | slot: the map's order
+    float max_weight;
+    float min_weight;
+  };
+  size_t total = 0;
+  for (const SummarySpan& s : slots) total += s.uni.len;
+  std::vector<Gathered> postings;
+  postings.reserve(total);
+  for (uint32_t slot = 0; slot < slots.size(); ++slot) {
+    const TermSpan& uni = slots[slot].uni;
+    const TermSpan& intr = slots[slot].intr;
+    // Both runs ascend, so one forward cursor in intr finds each union
+    // term's intersection weight (0 when absent, as TermVector::Get).
+    const TermWeight* q = intr.data;
+    const TermWeight* const q_end = intr.data + intr.len;
+    for (const TermWeight* u = uni.data; u != uni.data + uni.len; ++u) {
+      while (q != q_end && q->term < u->term) ++q;
+      const float min_weight =
+          q != q_end && q->term == u->term ? q->weight : 0.0f;
+      postings.push_back(
+          {uint64_t{u->term} << 32 | slot, u->weight, min_weight});
+    }
+  }
+  std::sort(postings.begin(), postings.end(),
+            [](const Gathered& a, const Gathered& b) { return a.key < b.key; });
+
+  uint32_t terms = 0;
+  for (size_t i = 0; i < postings.size(); ++i) {
+    if (i == 0 || postings[i].key >> 32 != postings[i - 1].key >> 32) ++terms;
+  }
+  PutVarint32(dst, terms);
+  TermId prev = 0;
+  for (size_t begin = 0, end = 0; begin < postings.size(); begin = end) {
+    const TermId term = static_cast<TermId>(postings[begin].key >> 32);
+    end = begin + 1;
+    while (end < postings.size() && postings[end].key >> 32 == term) ++end;
+    PutVarint32(dst, term - prev);
+    PutVarint32(dst, static_cast<uint32_t>(end - begin));
+    uint32_t prev_slot = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t slot = static_cast<uint32_t>(postings[i].key);
+      PutVarint32(dst, slot - prev_slot);
+      PutFloat(dst, postings[i].max_weight);
+      PutFloat(dst, postings[i].min_weight);
+      prev_slot = slot;
+    }
     prev = term;
   }
 }

@@ -21,7 +21,10 @@ Status DecodeTermVector(const std::string& src, size_t* offset,
                         TermVector* out);
 
 /// --- Text summaries (IUR-tree node payloads) ---
-void EncodeTextSummary(const TextSummary& summary, std::string* dst);
+void EncodeTextSummary(const SummarySpan& summary, std::string* dst);
+inline void EncodeTextSummary(const TextSummary& summary, std::string* dst) {
+  EncodeTextSummary(AsSpan(summary), dst);
+}
 Status DecodeTextSummary(const std::string& src, size_t* offset,
                          TextSummary* out);
 
@@ -50,6 +53,16 @@ Status DecodePostingList(const std::string& src, size_t* offset,
 void EncodeInvertedFile(const InvertedFile& file, std::string* dst);
 Status DecodeInvertedFile(const std::string& src, size_t* offset,
                           InvertedFile* out);
+
+/// The inverted file of one IUR-tree node, straight from its entries'
+/// summaries (`slots[i]` is entry i's): per union term t of entry i, the
+/// posting <i, uni weight, intr weight or 0>. Byte-for-byte what
+/// EncodeInvertedFile writes for the InvertedFile of those postings, without
+/// building the map: the postings are gathered by walking each entry's union
+/// beside its intersection and sorted by (term, slot). This is the one node
+/// encoder of IurTree::FinalizeStorage and of a loaded FrozenTree's payloads.
+void EncodeNodeInvertedFile(const std::vector<SummarySpan>& slots,
+                            std::string* dst);
 
 /// Serialized size (bytes) without materializing the buffer.
 size_t TermVectorEncodedSize(const TermVector& vec);

@@ -4,7 +4,10 @@
 // hand-injected corruption is caught with a message precise enough to name
 // the node, the entry, and the violated invariant.
 
+#include <algorithm>
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,6 +93,115 @@ TEST(IurTreeInvariantsTest, DynamicUpdatesValidate) {
   s = tree.CheckInvariants(DocLookup(d));
   EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(tree.size(), 560u);
+}
+
+// Randomized Insert/Delete churn with a small fanout, so that splits,
+// condenses, root growth and root shrink all occur. Updates keep summaries
+// exact in O(path) (a slot absorbs an inserted object on the way down; a
+// delete patches only the removed object's terms), so the check after every
+// operation — each entry equal to the exact merge of its children — is the
+// oracle. The churned tree then freezes, saves and loads with identical
+// bytes and page handles.
+void ChurnAndCheck(bool clustered, uint64_t seed) {
+  const Dataset d = SmallDataset(360, seed);
+  std::vector<uint32_t> cluster_of;
+  if (clustered) {
+    std::vector<TermVector> docs;
+    for (const StObject& o : d.objects()) docs.push_back(o.doc);
+    ClusteringOptions options;
+    options.num_clusters = 5;
+    cluster_of = ClusterDocuments(docs, options).assignment;
+  }
+  IurTreeOptions options;
+  options.max_entries = 4;
+  options.min_entries = 2;
+  std::vector<IurTree::Item> items;
+  std::vector<bool> present(d.size(), false);
+  for (uint32_t id = 0; id < d.size(); id += 2) {
+    items.push_back({id, d.object(id).loc, &d.object(id).doc});
+    present[id] = true;
+  }
+  IurTree tree =
+      IurTree::Build(std::move(items), options,
+                     clustered ? &cluster_of : nullptr);
+  const auto insert = [&](uint32_t id) {
+    tree.Insert(id, d.object(id).loc, &d.object(id).doc,
+                clustered ? cluster_of[id] : IurTree::kNoCluster);
+    present[id] = true;
+  };
+  const auto erase = [&](uint32_t id) {
+    ASSERT_TRUE(tree.Delete(id, d.object(id).loc).ok()) << "object " << id;
+    present[id] = false;
+  };
+  size_t min_height = tree.height();
+  size_t max_height = tree.height();
+  Rng rng(seed * 31 + 7);
+  // Three phases: grow to the full set, shrink to three objects (the root
+  // collapses to a leaf), then a random mix.
+  const auto step = [&](bool want_insert) {
+    // The next object from a random start whose presence allows the op.
+    uint32_t id = static_cast<uint32_t>(rng.UniformInt(d.size()));
+    while (present[id] == want_insert) id = (id + 1) % d.size();
+    if (want_insert) {
+      insert(id);
+    } else {
+      erase(id);
+    }
+    min_height = std::min(min_height, tree.height());
+    max_height = std::max(max_height, tree.height());
+    const Status s = tree.CheckInvariants(DocLookup(d));
+    ASSERT_TRUE(s.ok()) << "after " << (want_insert ? "inserting" : "deleting")
+                        << " object " << id << ": " << s.ToString();
+  };
+  while (tree.size() < d.size()) ASSERT_NO_FATAL_FAILURE(step(true));
+  while (tree.size() > 3) ASSERT_NO_FATAL_FAILURE(step(false));
+  for (int i = 0; i < 700; ++i) {
+    const bool want_insert =
+        tree.size() == 0 ||
+        (tree.size() < d.size() && rng.UniformInt(uint64_t{2}) == 0);
+    ASSERT_NO_FATAL_FAILURE(step(want_insert));
+  }
+  EXPECT_LE(min_height, 1u);
+  EXPECT_GE(max_height, 4u);
+
+  tree.FinalizeStorage();
+  const frozen::FrozenTree ft = frozen::FrozenTree::Freeze(tree);
+  Status s = ft.CheckInvariants();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(ft.IndexBytes(), tree.IndexBytes());
+  const std::string path = ::testing::TempDir() + "/iurtree_churn_" +
+                           std::to_string(seed) +
+                           (clustered ? "_ciur" : "_iur") + ".rstf";
+  ASSERT_TRUE(ft.Save(path).ok());
+  Result<frozen::FrozenTree> loaded = frozen::FrozenTree::Load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  s = loaded.value().CheckInvariants();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(loaded.value().SerializeToString(), ft.SerializeToString());
+  EXPECT_EQ(loaded.value().IndexBytes(), ft.IndexBytes());
+  ASSERT_EQ(loaded.value().num_nodes(), ft.num_nodes());
+  for (uint32_t n = 0; n < ft.num_nodes(); ++n) {
+    for (const auto& [a, b] :
+         {std::pair{ft.record_handle(n), loaded.value().record_handle(n)},
+          std::pair{ft.invfile_handle(n), loaded.value().invfile_handle(n)}}) {
+      EXPECT_EQ(a.first_page, b.first_page) << "node " << n;
+      EXPECT_EQ(a.num_pages, b.num_pages) << "node " << n;
+      EXPECT_EQ(a.bytes, b.bytes) << "node " << n;
+      std::string pa, pb;
+      ASSERT_TRUE(ft.page_store().Read(a, &pa, nullptr).ok());
+      ASSERT_TRUE(loaded.value().page_store().Read(b, &pb, nullptr).ok());
+      EXPECT_EQ(pa, pb) << "node " << n;
+    }
+  }
+}
+
+TEST(IurTreeInvariantsTest, IurChurnKeepsSummariesExact) {
+  for (uint64_t seed : {3, 17}) ChurnAndCheck(/*clustered=*/false, seed);
+}
+
+TEST(IurTreeInvariantsTest, CiurChurnKeepsSummariesExact) {
+  for (uint64_t seed : {5, 29}) ChurnAndCheck(/*clustered=*/true, seed);
 }
 
 TEST(IurTreeInvariantsTest, CatchesStaleMbr) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,6 +108,82 @@ TEST(CodecTest, InvertedFileRoundTrip) {
   InvertedFile out;
   ASSERT_TRUE(DecodeInvertedFile(buf, &off, &out).ok());
   EXPECT_EQ(out, file);
+}
+
+// The node encoder must write exactly the bytes of EncodeInvertedFile over
+// the term -> postings map the summaries define (the layout the payload
+// pages and the I/O accounting were built on).
+std::string EncodeViaMap(const std::vector<TextSummary>& entries) {
+  InvertedFile file;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    for (const TermWeight& tw : entries[i].uni.entries()) {
+      file[tw.term].push_back({static_cast<uint32_t>(i), tw.weight,
+                               entries[i].intr.Get(tw.term)});
+    }
+  }
+  std::string out;
+  EncodeInvertedFile(file, &out);
+  return out;
+}
+
+std::string EncodeViaNodeEncoder(const std::vector<TextSummary>& entries) {
+  std::vector<SummarySpan> slots;
+  for (const TextSummary& s : entries) slots.push_back(AsSpan(s));
+  std::string out;
+  EncodeNodeInvertedFile(slots, &out);
+  return out;
+}
+
+TEST(CodecTest, NodeEncoderMatchesInvertedFileBytes) {
+  // Fixed shapes: no entries, one entry, an empty intersection, an empty
+  // union, and term ids whose varints take 1 to 5 bytes.
+  const TermVector wide = TermVector::FromSorted(
+      {{0, 1.0f}, {127, 2.0f}, {128, 0.5f}, {16384, 3.0f}, {2097152, 1.5f},
+       {0xFFFFFFF0u, 0.25f}});
+  std::vector<std::vector<TextSummary>> nodes = {
+      {},
+      {TextSummary::FromDoc(wide)},
+      {TextSummary{wide, TermVector(), 3}, TextSummary()},
+      {TextSummary(), TextSummary::FromDoc(wide), TextSummary::FromDoc(wide)},
+  };
+  Rng rng(4242);
+  for (int n = 0; n < 200; ++n) {
+    std::vector<TextSummary> node(1 + rng.UniformInt(uint64_t{40}));
+    for (TextSummary& s : node) {
+      std::vector<TermWeight> uni, intr;
+      const size_t terms = rng.UniformInt(uint64_t{60});
+      for (size_t t = 0; t < terms; ++t) {
+        // Mostly clustered ids (shared terms across slots), some far out.
+        const TermId term = rng.UniformInt(uint64_t{4}) == 0
+                                ? static_cast<TermId>(rng.Next() >> 34)
+                                : static_cast<TermId>(rng.UniformInt(
+                                      uint64_t{300}));
+        const float w = static_cast<float>(rng.Uniform(0.01, 4.0));
+        uni.push_back({term, w});
+        if (rng.UniformInt(uint64_t{3}) == 0) {
+          intr.push_back({term, w * static_cast<float>(rng.NextDouble())});
+        }
+      }
+      s.uni = TermVector::FromUnsorted(uni);
+      // Keep intr dominated: one entry per term, weight at most the union's.
+      const TermVector drawn = TermVector::FromUnsorted(intr);
+      std::vector<TermWeight> kept;
+      for (const TermWeight& e : drawn.entries()) {
+        kept.push_back({e.term, std::min(e.weight, s.uni.Get(e.term))});
+      }
+      s.intr = TermVector::FromUnsorted(kept);
+      s.count = 1 + static_cast<uint32_t>(rng.UniformInt(uint64_t{9}));
+    }
+    nodes.push_back(std::move(node));
+  }
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    const std::string expected = EncodeViaMap(nodes[n]);
+    EXPECT_EQ(EncodeViaNodeEncoder(nodes[n]), expected) << "node " << n;
+    size_t off = 0;
+    InvertedFile decoded;
+    ASSERT_TRUE(DecodeInvertedFile(expected, &off, &decoded).ok());
+    EXPECT_EQ(off, expected.size());
+  }
 }
 
 TEST(CodecTest, CorruptedInvertedFileFailsCleanly) {

@@ -550,6 +550,7 @@ int CmdTopK(const Flags& flags) {
   const auto results =
       searcher.Search(query, &io, obs_flags.tracing() ? &trace : nullptr);
   const double ms = timer.ElapsedMillis();
+  io.Publish(obs::names::kTopkIoPrefix);
   for (const TopKResult& r : results) {
     std::printf("%u\t%.6f\n", r.id, r.score);
   }
